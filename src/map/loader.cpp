@@ -1,8 +1,81 @@
 #include "map/loader.hpp"
 
-#include <unordered_map>
+#include <cmath>
 
 namespace spinn::map {
+
+namespace {
+
+/// Calls `chosen(c)` for each of the candidates 0..n-1 that a Bernoulli(p)
+/// trial would keep, in ascending order, drawing from `rng` once per chosen
+/// candidate rather than once per candidate: the gap to the next one is
+/// Geom(p), floor(ln(1 - U) / ln(1 - p)) for U uniform on [0, 1).  p >= 1
+/// keeps every candidate and p <= 0 none, both without a draw.
+template <typename F>
+void for_each_chosen(std::uint32_t n, double p, Rng& rng, F&& chosen) {
+  if (p >= 1.0) {
+    for (std::uint32_t c = 0; c < n; ++c) chosen(c);
+    return;
+  }
+  if (!(p > 0.0)) return;
+  const double log_q = std::log1p(-p);
+  for (std::uint64_t c = 0;; ++c) {
+    const double gap = std::floor(std::log1p(-rng.uniform()) / log_q);
+    if (gap >= static_cast<double>(n - c)) return;
+    c += static_cast<std::uint64_t>(gap);
+    chosen(static_cast<std::uint32_t>(c));
+  }
+}
+
+/// Appends every synapse of `proj` to the buffer of the post slice it
+/// targets, in (pre neuron, post neuron) order.  Each synapse draws its
+/// delay, then its weight, right after it is chosen.
+void elaborate(
+    const neural::Network& net, const neural::Projection& proj,
+    const PlacementResult& placement,
+    std::vector<std::vector<neural::RowStore::Entry>>& buffers, Rng& rng) {
+  const std::uint32_t post_size = net.population(proj.post).size;
+  const neural::Connector& conn = proj.connector;
+  const bool skip_self = proj.pre == proj.post && !conn.allow_self;
+  const double p = conn.kind == neural::ConnectorKind::FixedProbability
+                       ? conn.probability
+                       : 1.0;
+  for (const std::size_t pre_slice : placement.by_population[proj.pre]) {
+    const Slice& ps = placement.slices[pre_slice];
+    for (std::uint32_t local = 0; local < ps.num_neurons; ++local) {
+      const std::uint32_t i = ps.first_neuron + local;
+      const RoutingKey key = ps.key_base + local;
+      const auto add = [&](std::uint32_t j) {
+        const std::size_t qi = *slice_of(placement, proj.post, j);
+        const Slice& qs = placement.slices[qi];
+        const double d_ms = proj.delay_ms.sample(rng);
+        neural::Synapse syn;
+        syn.weight_raw = neural::Synapse::pack_weight(proj.weight.sample(rng));
+        auto delay = static_cast<std::uint8_t>(d_ms + 0.5);
+        if (delay < 1) delay = 1;
+        if (delay > neural::kMaxDelayTicks) delay = neural::kMaxDelayTicks;
+        syn.delay = delay;
+        syn.inhibitory = proj.inhibitory;
+        syn.plastic = proj.stdp.enabled;
+        syn.target = static_cast<std::uint16_t>(j - qs.first_neuron);
+        buffers[qi].push_back({key, syn});
+      };
+      if (conn.kind == neural::ConnectorKind::OneToOne) {
+        if (i < post_size) add(i);
+        continue;
+      }
+      // Candidates are the post neurons, less i itself when
+      // self-connections are excluded: candidate c is neuron c, or c + 1
+      // from i on.
+      for_each_chosen(post_size - (skip_self ? 1 : 0), p, rng,
+                      [&](std::uint32_t c) {
+                        add(skip_self && c >= i ? c + 1 : c);
+                      });
+    }
+  }
+}
+
+}  // namespace
 
 LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
                         neural::SpikeRecorder* recorder, Rng& rng) {
@@ -46,79 +119,21 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
     }
   }
 
-  // 3. Build synaptic rows, one RowStore per used core.
-  std::unordered_map<CoreId, std::shared_ptr<neural::RowStore>> stores;
-  for (const Slice& s : placement.slices) {
-    if (!stores.count(s.core)) {
-      stores[s.core] = std::make_shared<neural::RowStore>();
-    }
-  }
-
+  // 3. Elaborate every projection into per-post-slice buffers of
+  //    (key, synapse).
+  std::vector<std::vector<neural::RowStore::Entry>> buffers(
+      placement.slices.size());
   for (const neural::Projection& proj : net.projections()) {
-    const neural::Population& pre = net.population(proj.pre);
-    const neural::Population& post = net.population(proj.post);
-    for (std::uint32_t i = 0; i < pre.size; ++i) {
-      const auto pre_slice = slice_of(placement, proj.pre, i);
-      if (!pre_slice.has_value()) continue;
-      const Slice& ps = placement.slices[*pre_slice];
-      const RoutingKey key = ps.key_base + (i - ps.first_neuron);
-
-      auto add_synapse = [&](std::uint32_t j, double w, double d_ms) {
-        const auto post_slice = slice_of(placement, proj.post, j);
-        if (!post_slice.has_value()) return;
-        const Slice& qs = placement.slices[*post_slice];
-        neural::Synapse syn;
-        syn.weight_raw = neural::Synapse::pack_weight(w);
-        syn.inhibitory = proj.inhibitory;
-        syn.plastic = proj.stdp.enabled;
-        auto delay = static_cast<std::uint8_t>(d_ms + 0.5);
-        if (delay < 1) delay = 1;
-        if (delay > neural::kMaxDelayTicks) delay = neural::kMaxDelayTicks;
-        syn.delay = delay;
-        syn.target = static_cast<std::uint16_t>(j - qs.first_neuron);
-        neural::SynapticRow& row = stores[qs.core]->row_for(key);
-        row.synapses.push_back(syn);
-        row.plastic = row.plastic || syn.plastic;
-        ++report.total_synapses;
-      };
-
-      switch (proj.connector.kind) {
-        case neural::ConnectorKind::AllToAll:
-          for (std::uint32_t j = 0; j < post.size; ++j) {
-            if (proj.pre == proj.post && i == j &&
-                !proj.connector.allow_self) {
-              continue;
-            }
-            add_synapse(j, proj.weight.sample(rng),
-                        proj.delay_ms.sample(rng));
-          }
-          break;
-        case neural::ConnectorKind::OneToOne:
-          if (i < post.size) {
-            add_synapse(i, proj.weight.sample(rng),
-                        proj.delay_ms.sample(rng));
-          }
-          break;
-        case neural::ConnectorKind::FixedProbability:
-          for (std::uint32_t j = 0; j < post.size; ++j) {
-            if (proj.pre == proj.post && i == j &&
-                !proj.connector.allow_self) {
-              continue;
-            }
-            if (rng.chance(proj.connector.probability)) {
-              add_synapse(j, proj.weight.sample(rng),
-                          proj.delay_ms.sample(rng));
-            }
-          }
-          break;
-      }
-    }
+    elaborate(net, proj, placement, buffers, rng);
   }
+  for (const auto& buffer : buffers) report.total_synapses += buffer.size();
 
-  // 4. Charge SDRAM and install the applications.
-  for (const Slice& s : placement.slices) {
+  // 4. Build each slice's rows from its buffer, charge SDRAM and install
+  //    the applications.
+  for (std::size_t si = 0; si < placement.slices.size(); ++si) {
+    const Slice& s = placement.slices[si];
     const neural::Population& pop = net.population(s.pop);
-    auto& store = stores[s.core];
+    auto store = std::make_shared<neural::RowStore>(std::move(buffers[si]));
     report.total_rows += store->num_rows();
 
     chip::Chip& chip = machine.chip_at(s.core.chip);

@@ -59,7 +59,8 @@ std::vector<CoreIndex> app_cores(const chip::Chip& c);
 PlacementResult place(const neural::Network& net, mesh::Machine& machine,
                       const MapperConfig& cfg);
 
-/// The slice holding `neuron` of population `pop` (index into slices).
+/// The slice holding `neuron` of population `pop` (index into slices), in
+/// constant time.
 std::optional<std::size_t> slice_of(const PlacementResult& placement,
                                     neural::PopulationId pop,
                                     std::uint32_t neuron);

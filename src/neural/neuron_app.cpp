@@ -94,42 +94,42 @@ std::uint64_t NeuronApp::on_packet(chip::CoreApi& api,
                                    const router::Packet& p) {
   // Identify the spiking neuron, map to its connectivity block in SDRAM,
   // schedule the DMA (§5.3 "Incoming packet arrival").
-  const SynapticRow* row = rows_->find(p.key);
-  if (row == nullptr || row->synapses.empty()) {
+  const std::size_t row = rows_->find(p.key);
+  if (row == RowStore::npos) {
     return 25;  // lookup miss: nothing aimed at this core's neurons
   }
-  api.dma_read(row->bytes(), /*cookie=*/p.key);
+  api.dma_read(rows_->bytes(row), /*cookie=*/p.key);
   return 35;
 }
 
 std::uint64_t NeuronApp::on_dma_done(chip::CoreApi& api,
                                      const chip::DmaDone& d) {
   if (d.was_write) return 15;  // write-back completed: just retire it
-  const auto key = static_cast<RoutingKey>(d.cookie);
-  SynapticRow* row = rows_->find_mutable(key);
-  if (row == nullptr) return 20;
-  for (const Synapse& s : row->synapses) {
+  const std::size_t row = rows_->find(static_cast<RoutingKey>(d.cookie));
+  if (row == RowStore::npos) return 20;
+  const std::span<const Synapse> synapses = rows_->synapses(row);
+  for (const Synapse& s : synapses) {
     ring_.add(tick_, s.target, s.delay, s.weight());
   }
   ++rows_processed_;
-  synaptic_events_ += row->synapses.size();
-  std::uint64_t instr =
-      30 + 12 * static_cast<std::uint64_t>(row->synapses.size());
+  synaptic_events_ += synapses.size();
+  std::uint64_t instr = 30 + 12 * static_cast<std::uint64_t>(synapses.size());
 
-  if (row->plastic && cfg_.stdp.enabled) {
+  if (rows_->state(row).plastic && cfg_.stdp.enabled) {
     // §5.3: "if the connectivity data is modified, a DMA must be scheduled
     // to write the changes back into SDRAM."
-    instr += apply_stdp(*row);
-    api.dma_write(row->bytes(), d.cookie);
+    instr += apply_stdp(row);
+    api.dma_write(rows_->bytes(row), d.cookie);
     ++plastic_writebacks_;
   }
   return instr;
 }
 
-std::uint64_t NeuronApp::apply_stdp(SynapticRow& row) {
+std::uint64_t NeuronApp::apply_stdp(std::size_t row) {
   const StdpParams& sp = cfg_.stdp;
+  RowState& state = rows_->state(row);
   std::uint64_t updated = 0;
-  for (Synapse& s : row.synapses) {
+  for (Synapse& s : rows_->synapses(row)) {
     if (!s.plastic || s.inhibitory) continue;
     ++updated;
     if (s.target >= last_post_tick_.size()) continue;
@@ -137,9 +137,9 @@ std::uint64_t NeuronApp::apply_stdp(SynapticRow& row) {
     if (post < 0) continue;  // target never fired: nothing to pair with
     double w = static_cast<double>(s.weight_raw) / 256.0;
     // Potentiation: a post-spike shortly after the *previous* pre-spike.
-    if (row.has_fired_before &&
-        post > static_cast<std::int32_t>(row.last_pre_tick) &&
-        post - static_cast<std::int32_t>(row.last_pre_tick) <=
+    if (state.has_fired_before &&
+        post > static_cast<std::int32_t>(state.last_pre_tick) &&
+        post - static_cast<std::int32_t>(state.last_pre_tick) <=
             static_cast<std::int32_t>(sp.window_ticks)) {
       w += sp.a_plus;
     }
@@ -153,8 +153,8 @@ std::uint64_t NeuronApp::apply_stdp(SynapticRow& row) {
     if (w > sp.w_max) w = sp.w_max;
     s.weight_raw = Synapse::pack_weight(w);
   }
-  row.last_pre_tick = tick_;
-  row.has_fired_before = true;
+  state.last_pre_tick = tick_;
+  state.has_fired_before = true;
   return 8 + 10 * updated;
 }
 

@@ -67,9 +67,9 @@ class NeuronApp final : public chip::CoreProgram {
  private:
   std::uint64_t emit_spikes(chip::CoreApi& api,
                             const std::vector<std::uint32_t>& fired);
-  /// Pair-based STDP over a fetched plastic row; returns the instruction
-  /// cost of the update loop.
-  std::uint64_t apply_stdp(SynapticRow& row);
+  /// Pair-based STDP over fetched plastic row `row` of rows_; returns the
+  /// instruction cost of the update loop.
+  std::uint64_t apply_stdp(std::size_t row);
 
   SliceConfig cfg_;
   std::shared_ptr<RowStore> rows_;

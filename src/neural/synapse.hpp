@@ -2,10 +2,17 @@
 // *synaptic row* per (pre-synaptic neuron, target core), held in the node's
 // SDRAM and DMA-fetched into DTCM when that neuron's spike packet arrives
 // (§4, Fig. 4; §5.3).
+//
+// A core's rows are stored compressed-sparse-row style: the row keys in
+// ascending order, an offset per row into one flat synapse array, and the
+// per-row plasticity state beside them.  The loader builds a store with one
+// stable sort of its elaboration buffer; a spike's row is then found by
+// binary search over the keys and walked as one contiguous span.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/fixed_point.hpp"
@@ -41,20 +48,21 @@ struct Synapse {
 /// supports.
 inline constexpr std::uint8_t kMaxDelayTicks = 15;
 
-struct SynapticRow {
-  std::vector<Synapse> synapses;
+/// DMA size of a row of `synapses` synapses: one header word plus one
+/// 32-bit word per synapse.
+constexpr std::uint32_t row_bytes(std::size_t synapses) {
+  return 4 + 4 * static_cast<std::uint32_t>(synapses);
+}
+
+/// Per-row state kept beside the synapses.
+struct RowState {
   /// Any synapse in the row is plastic => the row is written back after
   /// processing (§5.3).
   bool plastic = false;
+  bool has_fired_before = false;
   /// The tick of the previous pre-synaptic spike that fetched this row
   /// (pre-event history for the deferred STDP rule).
   std::uint32_t last_pre_tick = 0;
-  bool has_fired_before = false;
-
-  /// DMA size: one header word plus one 32-bit word per synapse.
-  std::uint32_t bytes() const {
-    return 4 + 4 * static_cast<std::uint32_t>(synapses.size());
-  }
 };
 
 /// All rows resident on one core, keyed by the source neuron's AER key.
@@ -62,29 +70,55 @@ struct SynapticRow {
 /// functional content while chip::Sdram accounts the space.)
 class RowStore {
  public:
-  SynapticRow& row_for(RoutingKey key) { return rows_[key]; }
+  /// Returned by find() for a key with no row on this core.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  const SynapticRow* find(RoutingKey key) const {
-    const auto it = rows_.find(key);
-    return it == rows_.end() ? nullptr : &it->second;
+  /// One synapse of an elaboration buffer, tagged with its row's key.
+  struct Entry {
+    RoutingKey key = 0;
+    Synapse synapse;
+  };
+
+  RowStore() = default;
+
+  /// Builds the rows from an elaboration buffer with one stable sort by
+  /// key, so each row keeps its synapses in the order they were appended.
+  explicit RowStore(std::vector<Entry> entries);
+
+  /// Index of the row for `key`, or npos.
+  std::size_t find(RoutingKey key) const;
+
+  RoutingKey key(std::size_t row) const { return keys_[row]; }
+
+  std::span<const Synapse> synapses(std::size_t row) const {
+    return {synapses_.data() + offsets_[row],
+            synapses_.data() + offsets_[row + 1]};
+  }
+  /// Mutable row for plasticity processing (the row is "in DTCM").
+  std::span<Synapse> synapses(std::size_t row) {
+    return {synapses_.data() + offsets_[row],
+            synapses_.data() + offsets_[row + 1]};
   }
 
-  /// Mutable lookup for plasticity processing (the row is "in DTCM").
-  SynapticRow* find_mutable(RoutingKey key) {
-    const auto it = rows_.find(key);
-    return it == rows_.end() ? nullptr : &it->second;
+  RowState& state(std::size_t row) { return state_[row]; }
+
+  std::uint32_t bytes(std::size_t row) const {
+    return row_bytes(offsets_[row + 1] - offsets_[row]);
   }
 
-  std::size_t num_rows() const { return rows_.size(); }
+  std::size_t num_rows() const { return keys_.size(); }
+  std::size_t num_synapses() const { return synapses_.size(); }
 
   std::uint64_t total_bytes() const {
-    std::uint64_t total = 0;
-    for (const auto& [k, row] : rows_) total += row.bytes();
-    return total;
+    return 4ull * num_rows() + 4ull * num_synapses();
   }
 
  private:
-  std::unordered_map<RoutingKey, SynapticRow> rows_;
+  std::vector<RoutingKey> keys_;  // ascending, one per row
+  /// Row r's synapses are synapses_[offsets_[r], offsets_[r + 1]).
+  std::vector<std::uint32_t> offsets_{0};
+  std::vector<Synapse> synapses_;
+  std::vector<RowState> state_;
 };
 
 }  // namespace spinn::neural

@@ -3,6 +3,8 @@
 // key/mask table minimisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <unordered_set>
 
@@ -10,6 +12,8 @@
 #include "map/placement.hpp"
 #include "map/routing_gen.hpp"
 #include "mesh/machine.hpp"
+#include "net/client.hpp"
+#include "server/spec.hpp"
 #include "sim/simulator.hpp"
 
 namespace spinn::map {
@@ -339,12 +343,13 @@ TEST(Loader, BuildsRowsAndInstallsPrograms) {
   }
   ASSERT_NE(b_app, nullptr);
   EXPECT_EQ(b_app->rows().num_rows(), 20u);
-  const neural::SynapticRow* row = b_app->rows().find(a_key_base + 7);
-  ASSERT_NE(row, nullptr);
-  ASSERT_EQ(row->synapses.size(), 1u);
-  EXPECT_EQ(row->synapses[0].target, 7u);
-  EXPECT_EQ(row->synapses[0].delay, 3u);
-  EXPECT_NEAR(row->synapses[0].weight().to_double(), 2.0, 0.01);
+  const std::size_t row = b_app->rows().find(a_key_base + 7);
+  ASSERT_NE(row, neural::RowStore::npos);
+  const auto synapses = b_app->rows().synapses(row);
+  ASSERT_EQ(synapses.size(), 1u);
+  EXPECT_EQ(synapses[0].target, 7u);
+  EXPECT_EQ(synapses[0].delay, 3u);
+  EXPECT_NEAR(synapses[0].weight().to_double(), 2.0, 0.01);
 }
 
 TEST(Loader, AllToAllSynapseCount) {
@@ -391,6 +396,318 @@ TEST(Loader, FixedProbabilityDensityApproximatelyRight) {
   const double expected = 200.0 * 200.0 * 0.1;
   EXPECT_NEAR(static_cast<double>(report.total_synapses), expected,
               expected * 0.15);
+}
+
+// ---- connector elaboration against ground truth ---------------------------
+//
+// fixed_probability(p) means one independent Bernoulli(p) trial per
+// candidate pair.  These tests read every realised synapse back out of the
+// cores' rows and hold it to that distribution with 99.9% bounds.
+
+constexpr double kZ999 = 3.2905;  // two-sided 99.9% normal quantile
+
+/// Upper 99.9% point of chi-squared with k degrees of freedom
+/// (Wilson-Hilferty; well inside 1% of the exact value for k >= 20).
+double chi2_upper_999(double k) {
+  const double h = 2.0 / (9.0 * k);
+  return k * std::pow(1.0 - h + 3.0902 * std::sqrt(h), 3);
+}
+
+/// Chi-squared statistic of `counts` against a uniform spread of their sum.
+double chi2_uniform(const std::vector<std::uint64_t>& counts) {
+  double total = 0.0;
+  for (const std::uint64_t c : counts) total += static_cast<double>(c);
+  const double expected = total / static_cast<double>(counts.size());
+  double chi2 = 0.0;
+  for (const std::uint64_t c : counts) {
+    const double d = static_cast<double>(c) - expected;
+    chi2 += d * d / expected;
+  }
+  return chi2;
+}
+
+struct Edge {
+  neural::PopulationId pre_pop = 0;
+  std::uint32_t pre = 0;
+  neural::PopulationId post_pop = 0;
+  std::uint32_t post = 0;
+  neural::Synapse syn;
+};
+
+struct Realised {
+  LoadReport report;
+  std::vector<Edge> edges;  // every synapse, core by core in row order
+};
+
+/// Loads `net` under `seed` and reads every synapse back from the rows.
+Realised load_and_read_back(const neural::Network& net, std::uint64_t seed,
+                            const mesh::MachineConfig& mc = machine_config()) {
+  sim::Simulator sim(1);
+  mesh::Machine m(sim, mc);
+  Loader loader(MapperConfig{});
+  Rng rng(seed);
+  Realised out;
+  out.report = loader.load(net, m, nullptr, rng);
+  const std::vector<Slice>& slices = out.report.placement.slices;
+  const auto slice_with = [&](RoutingKey key) {
+    return *std::find_if(slices.begin(), slices.end(), [&](const Slice& s) {
+      return s.key_base == (key & kSliceKeyMask);
+    });
+  };
+  for (neural::NeuronApp* app : loader.apps()) {
+    const Slice post = slice_with(app->config().key_base);
+    const neural::RowStore& rows = app->rows();
+    for (std::size_t r = 0; r < rows.num_rows(); ++r) {
+      const Slice pre = slice_with(rows.key(r));
+      for (const neural::Synapse& syn : rows.synapses(r)) {
+        out.edges.push_back(
+            {pre.pop, pre.first_neuron + (rows.key(r) - pre.key_base),
+             post.pop, post.first_neuron + syn.target, syn});
+      }
+    }
+  }
+  return out;
+}
+
+/// a -> b with fixed_probability(p), fixed weight and delay.
+neural::Network feedforward(std::uint32_t n_pre, std::uint32_t n_post,
+                            double p) {
+  neural::Network net;
+  const auto a = net.add_lif("a", n_pre);
+  const auto b = net.add_lif("b", n_post);
+  net.connect(a, b, neural::Connector::fixed_probability(p),
+              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  return net;
+}
+
+struct Case {
+  std::uint32_t n_pre;
+  std::uint32_t n_post;
+  double p;
+};
+
+std::string describe(const Case& c) {
+  return std::to_string(c.n_pre) + "x" + std::to_string(c.n_post) +
+         " p=" + std::to_string(c.p);
+}
+
+TEST(Elaboration, SynapseCountInsideBinomialCI) {
+  const Case cases[] = {{300, 400, 0.05},   {200, 300, 0.5},
+                        {150, 200, 0.9},    {1000, 1000, 0.0005},
+                        {2000, 1500, 0.0002}};
+  std::uint64_t seed = 100;
+  for (const Case& c : cases) {
+    const Realised r = load_and_read_back(feedforward(c.n_pre, c.n_post, c.p),
+                                          ++seed);
+    ASSERT_TRUE(r.report.ok) << r.report.error;
+    EXPECT_EQ(r.edges.size(), r.report.total_synapses);
+    const double pairs = static_cast<double>(c.n_pre) * c.n_post;
+    const double sd = std::sqrt(pairs * c.p * (1.0 - c.p));
+    EXPECT_LE(std::abs(static_cast<double>(r.report.total_synapses) -
+                       pairs * c.p),
+              kZ999 * sd)
+        << describe(c) << ": " << r.report.total_synapses << " synapses";
+  }
+}
+
+TEST(Elaboration, PostIndicesUniform) {
+  // Dense (short gaps) and sparse (long gaps); both posts span two slices.
+  const Case cases[] = {{1000, 300, 0.2}, {4000, 500, 0.01}};
+  std::uint64_t seed = 200;
+  for (const Case& c : cases) {
+    const Realised r = load_and_read_back(feedforward(c.n_pre, c.n_post, c.p),
+                                          ++seed);
+    ASSERT_TRUE(r.report.ok) << r.report.error;
+    std::vector<std::uint64_t> per_post(c.n_post, 0);
+    for (const Edge& e : r.edges) ++per_post.at(e.post);
+    EXPECT_LT(chi2_uniform(per_post), chi2_upper_999(c.n_post - 1.0))
+        << describe(c);
+  }
+}
+
+TEST(Elaboration, OutDegreeMatchesBinomial) {
+  const Case cases[] = {{2000, 500, 0.05}, {500, 400, 0.7},
+                        {3000, 1000, 0.001}};
+  std::uint64_t seed = 300;
+  for (const Case& c : cases) {
+    const Realised r = load_and_read_back(feedforward(c.n_pre, c.n_post, c.p),
+                                          ++seed);
+    ASSERT_TRUE(r.report.ok) << r.report.error;
+    std::vector<double> degree(c.n_pre, 0.0);
+    for (const Edge& e : r.edges) degree.at(e.pre) += 1.0;
+    const double n_samples = c.n_pre;
+    double mean = 0.0;
+    for (const double d : degree) mean += d;
+    mean /= n_samples;
+    double var = 0.0;
+    for (const double d : degree) var += (d - mean) * (d - mean);
+    var /= n_samples - 1.0;
+    // Binomial(n_post, p): mean np, variance npq, fourth central moment
+    // npq(1 + 3(n - 2)pq); the sample variance's own variance follows.
+    const double n = c.n_post;
+    const double pq = c.p * (1.0 - c.p);
+    const double sigma2 = n * pq;
+    const double mu4 = n * pq * (1.0 + 3.0 * (n - 2.0) * pq);
+    const double var_of_var =
+        (mu4 - sigma2 * sigma2 * (n_samples - 3.0) / (n_samples - 1.0)) /
+        n_samples;
+    EXPECT_LE(std::abs(mean - n * c.p), kZ999 * std::sqrt(sigma2 / n_samples))
+        << describe(c) << ": mean out-degree " << mean;
+    EXPECT_LE(std::abs(var - sigma2), kZ999 * std::sqrt(var_of_var))
+        << describe(c) << ": out-degree variance " << var;
+  }
+}
+
+TEST(Elaboration, RecurrentExcludesSelfAndDrawsFromNMinusOne) {
+  constexpr std::uint32_t n = 400;
+  const auto recurrent = [](double p) {
+    neural::Network net;
+    const auto a = net.add_lif("a", n);
+    net.connect(a, a, neural::Connector::fixed_probability(p),
+                neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+    return net;
+  };
+  {
+    // Near p = 1 the candidate count shows in the mean out-degree: p(n-1)
+    // and pn lie ~10 standard errors apart.
+    const double p = 0.99;
+    const Realised r = load_and_read_back(recurrent(p), 401);
+    ASSERT_TRUE(r.report.ok) << r.report.error;
+    for (const Edge& e : r.edges) ASSERT_NE(e.pre, e.post);
+    const double mean = static_cast<double>(r.edges.size()) / n;
+    const double band = kZ999 * std::sqrt((n - 1.0) * p * (1.0 - p) / n);
+    EXPECT_LE(std::abs(mean - p * (n - 1.0)), band) << mean;
+    EXPECT_GT(std::abs(p * n - p * (n - 1.0)), 2.0 * band);
+  }
+  {
+    // Every offset j - i (mod n) in 1..n-1 is one candidate per pre
+    // neuron, so a correct skip past i leaves the offsets uniform.
+    const Realised r = load_and_read_back(recurrent(0.3), 402);
+    ASSERT_TRUE(r.report.ok) << r.report.error;
+    std::vector<std::uint64_t> per_offset(n - 1, 0);
+    for (const Edge& e : r.edges) {
+      ASSERT_NE(e.pre, e.post);
+      ++per_offset.at((e.post + n - e.pre) % n - 1);
+    }
+    EXPECT_LT(chi2_uniform(per_offset), chi2_upper_999(n - 2.0));
+  }
+}
+
+TEST(Elaboration, ProbabilityZeroAndOneAreExact) {
+  const Realised none = load_and_read_back(feedforward(300, 300, 0.0), 7);
+  ASSERT_TRUE(none.report.ok) << none.report.error;
+  EXPECT_EQ(none.report.total_synapses, 0u);
+  EXPECT_EQ(none.report.total_rows, 0u);
+
+  // p = 1 is all_to_all, draw for draw: same synapses, weights and delays.
+  const auto wired = [](neural::Connector conn) {
+    neural::Network net;
+    const auto a = net.add_lif("a", 300);
+    const auto b = net.add_lif("b", 280);
+    net.connect(a, b, conn, neural::ValueDist::uniform(1.0, 9.0),
+                neural::ValueDist::uniform(1.0, 6.0));
+    net.connect(b, b, conn, neural::ValueDist::uniform(0.5, 2.0),
+                neural::ValueDist::uniform(1.0, 12.0));
+    return net;
+  };
+  const Realised all = load_and_read_back(
+      wired(neural::Connector::all_to_all()), 8);
+  const Realised p1 = load_and_read_back(
+      wired(neural::Connector::fixed_probability(1.0)), 8);
+  ASSERT_TRUE(all.report.ok && p1.report.ok);
+  EXPECT_EQ(all.report.total_synapses, 300u * 280u + 280u * 279u);
+  EXPECT_EQ(p1.report.total_synapses, all.report.total_synapses);
+  EXPECT_EQ(p1.report.total_rows, all.report.total_rows);
+  ASSERT_EQ(p1.edges.size(), all.edges.size());
+  for (std::size_t k = 0; k < all.edges.size(); ++k) {
+    const Edge& x = all.edges[k];
+    const Edge& y = p1.edges[k];
+    ASSERT_EQ(x.pre_pop, y.pre_pop) << k;
+    ASSERT_EQ(x.pre, y.pre) << k;
+    ASSERT_EQ(x.post_pop, y.post_pop) << k;
+    ASSERT_EQ(x.post, y.post) << k;
+    ASSERT_EQ(x.syn.weight_raw, y.syn.weight_raw) << k;
+    ASSERT_EQ(x.syn.delay, y.syn.delay) << k;
+    ASSERT_NE(x.post_pop == x.pre_pop && x.pre == x.post, true) << k;
+  }
+}
+
+/// A projection's contribution to the realised count's variance: zero for
+/// the exact connectors, pairs * p(1-p) for fixed_probability.
+double count_variance(const neural::NetworkDescription& desc) {
+  double var = 0.0;
+  for (const neural::ProjectionDesc& proj : desc.projections) {
+    if (proj.connector.kind != neural::ConnectorKind::FixedProbability) {
+      continue;
+    }
+    const double pre = desc.populations[static_cast<std::size_t>(
+                                            neural::population_index(
+                                                desc, proj.pre))]
+                           .size;
+    const double post = desc.populations[static_cast<std::size_t>(
+                                             neural::population_index(
+                                                 desc, proj.post))]
+                            .size;
+    const double pairs =
+        proj.pre == proj.post && !proj.connector.allow_self
+            ? pre * (post - 1.0)
+            : pre * post;
+    const double p = proj.connector.probability;
+    var += pairs * p * (1.0 - p);
+  }
+  return var;
+}
+
+TEST(Elaboration, AdmissionEstimateInsideRealisedCI) {
+  std::vector<std::pair<std::string, neural::NetworkDescription>> nets;
+  for (const std::string& app : server::app_names()) {
+    nets.emplace_back(app, server::app_description(app));
+  }
+  {
+    // The client-described net of bench_e14's wirenet column.
+    net::NetBuilder b;
+    b.spike_source("stim", {{1, 5}, {3}});
+    b.poisson("bg", 24, 30.0);
+    b.lif("cells", 48);
+    b.project("stim", "cells", neural::Connector::all_to_all(),
+              neural::ValueDist::fixed(15.0), neural::ValueDist::fixed(1.0));
+    b.project("bg", "cells", neural::Connector::fixed_probability(0.25),
+              neural::ValueDist::uniform(2.0, 6.0),
+              neural::ValueDist::fixed(1.0));
+    nets.emplace_back("wirenet", b.description());
+  }
+  {
+    // bench_e12's net.
+    net::NetBuilder b;
+    b.poisson("noise", 6000, 30.0);
+    b.lif("exc", 18000);
+    b.project("noise", "exc", neural::Connector::fixed_probability(0.0045),
+              neural::ValueDist::uniform(4.0, 8.0),
+              neural::ValueDist::fixed(1.0));
+    b.project("exc", "exc", neural::Connector::fixed_probability(0.0005),
+              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+    nets.emplace_back("e12", b.description());
+  }
+  for (const auto& [name, desc] : nets) {
+    neural::Network net;
+    std::string error;
+    ASSERT_TRUE(neural::build(desc, &net, &error)) << name << ": " << error;
+    const double estimate =
+        static_cast<double>(neural::estimated_synapses(desc));
+    // The estimate rounds each projection's mean up, by under one synapse.
+    const double band = kZ999 * std::sqrt(count_variance(desc)) +
+                        static_cast<double>(desc.projections.size());
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const Realised r =
+          load_and_read_back(net, seed, machine_config(6, 6, 5));
+      ASSERT_TRUE(r.report.ok) << name << ": " << r.report.error;
+      EXPECT_LE(std::abs(estimate -
+                         static_cast<double>(r.report.total_synapses)),
+                band)
+          << name << " seed " << seed << ": estimate " << estimate
+          << ", realised " << r.report.total_synapses;
+    }
+  }
 }
 
 }  // namespace

@@ -207,19 +207,21 @@ TEST(Synapse, InhibitoryWeightsAreNegative) {
 }
 
 TEST(Synapse, RowBytesMatchWireFormat) {
-  SynapticRow row;
-  row.synapses.resize(10);
-  EXPECT_EQ(row.bytes(), 4u + 40u);
+  EXPECT_EQ(row_bytes(10), 4u + 40u);
 }
 
 TEST(RowStore, FindAndAccounting) {
-  RowStore store;
-  store.row_for(100).synapses.resize(3);
-  store.row_for(200).synapses.resize(5);
+  // Rows of 3 (key 100) and 5 (key 200) synapses, appended interleaved.
+  std::vector<RowStore::Entry> entries;
+  for (int n = 0; n < 5; ++n) {
+    if (n < 3) entries.push_back({100, Synapse{}});
+    entries.push_back({200, Synapse{}});
+  }
+  const RowStore store(std::move(entries));
   EXPECT_EQ(store.num_rows(), 2u);
-  ASSERT_NE(store.find(100), nullptr);
-  EXPECT_EQ(store.find(100)->synapses.size(), 3u);
-  EXPECT_EQ(store.find(999), nullptr);
+  ASSERT_NE(store.find(100), RowStore::npos);
+  EXPECT_EQ(store.synapses(store.find(100)).size(), 3u);
+  EXPECT_EQ(store.find(999), RowStore::npos);
   EXPECT_EQ(store.total_bytes(), (4 + 12) + (4 + 20u));
 }
 

@@ -45,7 +45,7 @@ void measure_distance(std::uint16_t dim, int hops, double packets_per_tick,
   m.chip_at(dst).router().mc_table().add(
       {key, ~0u, router::Route::to_core(1)});
 
-  sim::Histogram latency(0.0, 1e6, 1000);
+  obs::Histogram latency;
   auto probe = std::make_unique<core::LatencyProbe>(&latency);
   core::LatencyProbe* probe_ptr = probe.get();
   m.chip_at(dst).core(1).load_program(std::move(probe));
@@ -63,9 +63,9 @@ void measure_distance(std::uint16_t dim, int hops, double packets_per_tick,
   m.stop_all_timers();
   sim.run_until(sim.now() + 2 * kMillisecond);
 
-  *mean_us = latency.summary().mean() / 1000.0;
-  *p99_us = latency.percentile(0.99) / 1000.0;
-  *max_us = latency.summary().max() / 1000.0;
+  *mean_us = latency.mean() / 1000.0;
+  *p99_us = static_cast<double>(latency.percentile(0.99)) / 1000.0;
+  *max_us = static_cast<double>(probe_ptr->max_latency()) / 1000.0;
   *delivered = probe_ptr->received();
 }
 

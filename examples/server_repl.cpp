@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,15 +41,6 @@ void print_help() {
       "commands: open [key=value ...] | run <id> <ms> | wait <id> | "
       "drain <id> |\n          status <id> | close <id> | stats | apps | "
       "help | quit\n");
-}
-
-bool parse_id(const std::string& tok, server::SessionId* id) {
-  try {
-    *id = std::stoull(tok);
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 void cmd_open(server::SessionServer& srv,
@@ -145,8 +137,11 @@ bool handle(server::SessionServer& srv, const std::string& line) {
     return true;
   }
   // Everything below addresses a session: <cmd> <id> [...].
+  // Strict parse: "12abc" and "-1" are usage errors, not ids 12 and 2^64-1.
   server::SessionId id = server::kInvalidSession;
-  if (args.size() < 2 || !parse_id(args[1], &id)) {
+  if (args.size() < 2 ||
+      !server::parse_u64_strict(
+          args[1], std::numeric_limits<server::SessionId>::max(), &id)) {
     std::printf("err usage: %s <id> ...\n", cmd.c_str());
     return true;
   }

@@ -3,12 +3,13 @@
 // spike latency vs distance/load) without the full neural stack.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "chip/core.hpp"
-#include "sim/stats.hpp"
+#include "obs/registry.hpp"
 
 namespace spinn::core {
 
@@ -44,26 +45,28 @@ class TrafficSource final : public chip::CoreProgram {
 };
 
 /// Records end-to-end latency (launch -> core delivery) of every packet it
-/// receives into a shared histogram.
+/// receives into a shared histogram, and tracks the exact maximum itself.
 class LatencyProbe final : public chip::CoreProgram {
  public:
-  explicit LatencyProbe(sim::Histogram* histogram)
+  explicit LatencyProbe(obs::Histogram* histogram)
       : histogram_(histogram) {}
 
   std::uint64_t on_packet(chip::CoreApi& api,
                           const router::Packet& p) override {
-    if (histogram_ != nullptr) {
-      histogram_->add(static_cast<double>(api.now() - p.launched_at));
-    }
+    const TimeNs latency = api.now() - p.launched_at;
+    if (histogram_ != nullptr) histogram_->observe(latency);
+    max_latency_ = std::max(max_latency_, latency);
     ++received_;
     return 25;
   }
 
   std::uint64_t received() const { return received_; }
+  TimeNs max_latency() const { return max_latency_; }
 
  private:
-  sim::Histogram* histogram_;
+  obs::Histogram* histogram_;
   std::uint64_t received_ = 0;
+  TimeNs max_latency_ = 0;
 };
 
 /// A sink that simply counts deliveries (for loss accounting).

@@ -213,8 +213,8 @@ void Reactor::loop() {
   // Telemetry handles, resolved once per reactor: registration is the cold
   // locked path, the references are stable for the registry's life, and
   // observing through them is lock-free (docs/OBSERVABILITY.md).
-  obs::Histogram& req_hist = obs::Registry::global().histogram(
-      "net.request_ns", 0, 100'000'000, 2000);
+  obs::Histogram& req_hist =
+      obs::Registry::global().histogram("net.request_ns");
   obs::Tracer& tracer = obs::Tracer::global();
   const auto bump = [&](auto member, std::uint64_t by = 1) {
     MutexLock lk(&im.stats_mu);

@@ -1,6 +1,7 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace spinn::obs {
 
@@ -15,44 +16,35 @@ std::size_t this_thread_shard() noexcept {
 
 }  // namespace detail
 
-Histogram::Histogram(std::int64_t lo, std::int64_t hi, std::size_t bins)
-    : lo_(lo),
-      hi_(hi > lo ? hi : lo + 1),
-      counts_(bins > 0 ? bins : 1) {}
-
 namespace {
 
-/// Bin interpolation over an already-taken snapshot (same rule as
-/// sim::Histogram::percentile).
-std::int64_t interpolate(const std::vector<std::uint64_t>& snap,
-                         std::uint64_t total, double p, std::int64_t lo,
-                         std::int64_t hi) {
+using Snapshot = std::array<std::uint64_t, Histogram::kBins>;
+
+/// The one binned-percentile routine: walk a fixed snapshot to the bin
+/// holding rank p * total, then interpolate linearly inside that bin.
+std::int64_t interpolate(const Snapshot& snap, std::uint64_t total,
+                         double p) {
   if (total == 0) return 0;
-  if (p < 0.0) p = 0.0;
-  if (p > 1.0) p = 1.0;
-  const double target = p * static_cast<double>(total);
-  const double width =
-      static_cast<double>(hi - lo) / static_cast<double>(snap.size());
+  const double target = std::clamp(p, 0.0, 1.0) * static_cast<double>(total);
   double seen = 0.0;
   for (std::size_t i = 0; i < snap.size(); ++i) {
     const double next = seen + static_cast<double>(snap[i]);
     if (next >= target && snap[i] > 0) {
       const double frac = (target - seen) / static_cast<double>(snap[i]);
-      const double lo_edge =
-          static_cast<double>(lo) + width * static_cast<double>(i);
-      return static_cast<std::int64_t>(lo_edge + frac * width);
+      return Histogram::bin_lo(i) +
+             static_cast<std::int64_t>(
+                 frac * static_cast<double>(Histogram::bin_width(i)));
     }
     seen = next;
   }
-  return hi;
+  return Histogram::kTop;
 }
 
-/// Relaxed snapshot of the live bins: the counts keep moving under us, and
-/// interpolating over a fixed copy is what keeps the answer internally
-/// consistent.
-std::uint64_t snapshot(const std::vector<std::atomic<std::uint64_t>>& bins,
-                       std::vector<std::uint64_t>* snap) {
-  snap->resize(bins.size());
+/// Relaxed copy of the live bins: the counts keep moving under us, and
+/// interpolating over a fixed copy keeps each answer internally consistent.
+std::uint64_t snapshot(
+    const std::array<std::atomic<std::uint64_t>, Histogram::kBins>& bins,
+    Snapshot* snap) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < bins.size(); ++i) {
     (*snap)[i] = bins[i].load(std::memory_order_relaxed);
@@ -63,23 +55,24 @@ std::uint64_t snapshot(const std::vector<std::atomic<std::uint64_t>>& bins,
 
 }  // namespace
 
-std::int64_t Histogram::percentile(double p) const {
-  std::vector<std::uint64_t> snap;
-  const std::uint64_t total = snapshot(counts_, &snap);
-  return interpolate(snap, total, p, lo_, hi_);
+std::uint64_t Histogram::count() const noexcept {
+  Snapshot snap;
+  return snapshot(counts_, &snap);
 }
 
-Histogram::Summary Histogram::summary() const {
-  // One snapshot for all three percentiles: a third of percentile()'s
-  // atomic traffic per scrape, and p50/p95/p99 agree about which events
-  // they describe.
-  std::vector<std::uint64_t> snap;
+std::int64_t Histogram::percentile(double p) const noexcept {
+  Snapshot snap;
+  return interpolate(snap, snapshot(counts_, &snap), p);
+}
+
+Histogram::Summary Histogram::summary() const noexcept {
+  Snapshot snap;
   const std::uint64_t total = snapshot(counts_, &snap);
   Summary s;
-  s.count = count_.load(std::memory_order_relaxed);
-  s.p50 = interpolate(snap, total, 0.50, lo_, hi_);
-  s.p95 = interpolate(snap, total, 0.95, lo_, hi_);
-  s.p99 = interpolate(snap, total, 0.99, lo_, hi_);
+  s.count = total;
+  s.p50 = interpolate(snap, total, 0.50);
+  s.p95 = interpolate(snap, total, 0.95);
+  s.p99 = interpolate(snap, total, 0.99);
   return s;
 }
 
@@ -102,11 +95,10 @@ Gauge& Registry::gauge(const std::string& name) {
   return *m.gauge;
 }
 
-Histogram& Registry::histogram(const std::string& name, std::int64_t lo,
-                               std::int64_t hi, std::size_t bins) {
+Histogram& Registry::histogram(const std::string& name) {
   MutexLock lk(&mu_);
   Metric& m = metrics_[name];
-  if (!m.histogram) m.histogram = std::make_unique<Histogram>(lo, hi, bins);
+  if (!m.histogram) m.histogram = std::make_unique<Histogram>();
   return *m.histogram;
 }
 

@@ -8,9 +8,9 @@
 //                slots so concurrent reactors/workers never bounce a line;
 //                inc() is one relaxed fetch_add, value() sums at scrape.
 //  * Gauge     — last-write-wins i64 (queue depth, residency).
-//  * Histogram — fixed-bin atomic counts over [lo, hi) with clamped end
-//                bins, exposing count/p50/p95/p99 at scrape time via the
-//                same bin interpolation as sim::Histogram.
+//  * Histogram — log-linear atomic bin counts (exact 0..15, then 16
+//                sub-buckets per power of two up to 2^42; <=6.25% relative
+//                error), exposing count/p50/p95/p99 at scrape time.
 //
 // Lock discipline: metric *registration* (find-or-create by name) takes the
 // registry mutex and belongs in constructors/setup paths, which then hold
@@ -24,7 +24,10 @@
 // sorted by name.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -86,62 +89,89 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Fixed-bin latency histogram over [lo_ns, hi_ns); out-of-range samples
-/// clamp to the end bins (nothing is silently dropped), so percentile()
-/// saturates at hi for outliers rather than inventing a tail.
+/// Log-linear (HDR-style) histogram of integer samples — latencies in ns
+/// everywhere this repo uses it.  Values 0..15 get exact bins; above that
+/// each power-of-two range [2^e, 2^(e+1)), e = 4..41, is split into 16
+/// equal sub-buckets, 624 bins in all.  A bin's width is at most 1/16 of
+/// its lower edge, so a percentile is within 6.25% of the exact sample
+/// percentile at any magnitude from 1 ns to ~73 min, with no per-site
+/// range to choose.  Negative samples clamp to bin 0 and samples at or
+/// above 2^42 to the last bin: nothing is silently dropped.
 class Histogram {
  public:
-  Histogram(std::int64_t lo, std::int64_t hi, std::size_t bins);
+  static constexpr int kSubBits = 4;   ///< 16 sub-buckets per power of two
+  static constexpr int kTopBits = 42;  ///< top edge 2^42 ns (~73 min)
+  static constexpr std::int64_t kTop = std::int64_t{1} << kTopBits;
+  static constexpr std::size_t kBins =
+      static_cast<std::size_t>(kTopBits - kSubBits + 1) << kSubBits;
+
+  /// Bin of a sample: a count-leading-zeros and a shift, no divide.
+  static constexpr std::size_t bin_of(std::int64_t x) noexcept {
+    const auto v = static_cast<std::uint64_t>(std::clamp(x, std::int64_t{0},
+                                                         kTop - 1));
+    const int shift =
+        std::max(static_cast<int>(std::bit_width(v)) - (kSubBits + 1), 0);
+    return (static_cast<std::size_t>(shift) << kSubBits) +
+           static_cast<std::size_t>(v >> shift);
+  }
+  /// Inclusive lower edge of bin `b`; the bin holds bin_width(b) values.
+  static constexpr std::int64_t bin_lo(std::size_t b) noexcept {
+    const int shift = bin_shift(b);
+    return static_cast<std::int64_t>(
+               b - (static_cast<std::size_t>(shift) << kSubBits))
+           << shift;
+  }
+  static constexpr std::int64_t bin_width(std::size_t b) noexcept {
+    return std::int64_t{1} << bin_shift(b);
+  }
 
   // obs:hot — metric-increment path: no locks, no allocation.
   void observe(std::int64_t x) noexcept {
-    std::int64_t bin = (x - lo_) * static_cast<std::int64_t>(counts_.size()) /
-                       (hi_ - lo_);
-    if (bin < 0) bin = 0;
-    const auto last = static_cast<std::int64_t>(counts_.size()) - 1;
-    if (bin > last) bin = last;
-    counts_[static_cast<std::size_t>(bin)].fetch_add(
-        1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    counts_[bin_of(x)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(static_cast<std::uint64_t>(x < 0 ? 0 : x),
                    std::memory_order_relaxed);
   }
 
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  /// Samples observed so far: the sum over the bins.
+  std::uint64_t count() const noexcept;
+  /// Exact sum of the observed samples (negatives count as 0), so
+  /// sum() / count() is the exact mean.
   std::uint64_t sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
   }
+  /// Exact mean, sum() / count(); 0 when empty.  The two loads are not
+  /// one snapshot, so under concurrent observers this is approximate.
+  double mean() const noexcept {
+    const std::uint64_t n = count();
+    return n == 0 ? 0.0
+                  : static_cast<double>(sum()) / static_cast<double>(n);
+  }
 
   /// Bin-interpolated percentile (p in [0, 1]) of everything observed so
-  /// far, rounded to integer units; 0 when empty.  Same interpolation rule
-  /// as sim::Histogram::percentile, over a relaxed snapshot of the bins.
-  std::int64_t percentile(double p) const;
+  /// far, truncated to an integer; 0 when empty.
+  std::int64_t percentile(double p) const noexcept;
 
   /// One scrape row set — count plus p50/p95/p99 — from a *single* bin
-  /// snapshot and a single accumulation pass.  This is what `rows()` uses:
-  /// three percentile() calls would re-snapshot (and re-scan) up to 2000
-  /// bins each, and the three answers could disagree about which events
-  /// they saw.
+  /// snapshot, so the four answers agree about which events they saw.
+  /// The snapshot lives on the stack: a scrape allocates nothing here.
   struct Summary {
     std::uint64_t count = 0;
     std::int64_t p50 = 0;
     std::int64_t p95 = 0;
     std::int64_t p99 = 0;
   };
-  Summary summary() const;
-
-  std::int64_t lo() const noexcept { return lo_; }
-  std::int64_t hi() const noexcept { return hi_; }
+  Summary summary() const noexcept;
 
  private:
-  std::int64_t lo_;
-  std::int64_t hi_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> count_{0};
+  static constexpr int bin_shift(std::size_t b) noexcept {
+    return std::max(static_cast<int>(b >> kSubBits) - 1, 0);
+  }
+
+  std::array<std::atomic<std::uint64_t>, kBins> counts_{};
   std::atomic<std::uint64_t> sum_{0};
 };
+static_assert(Histogram::kBins == 624 &&
+              Histogram::bin_of(Histogram::kTop - 1) == Histogram::kBins - 1);
 
 class Registry {
  public:
@@ -151,13 +181,10 @@ class Registry {
 
   /// Find-or-create by name.  Takes the registry lock — setup paths only;
   /// hold the returned reference (stable for the registry's life) for
-  /// hot-path use.  A histogram re-registered under an existing name keeps
-  /// the original's range.
+  /// hot-path use.
   Counter& counter(const std::string& name) SPINN_EXCLUDES(mu_);
   Gauge& gauge(const std::string& name) SPINN_EXCLUDES(mu_);
-  Histogram& histogram(const std::string& name, std::int64_t lo,
-                       std::int64_t hi, std::size_t bins)
-      SPINN_EXCLUDES(mu_);
+  Histogram& histogram(const std::string& name) SPINN_EXCLUDES(mu_);
 
   /// Scrape: one `{name, value}` row per counter/gauge, and four rows per
   /// histogram (`<name>.count`, `.p50`, `.p95`, `.p99` — integer units),

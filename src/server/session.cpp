@@ -12,17 +12,17 @@ namespace spinn::server {
 namespace {
 
 // Registration (the locked path) happens once, on first use; every later
-// call is a plain reference read.  2s range: build compiles a whole
-// machine, TTFS spans build + first spiking slice.
+// call is a plain reference read.  Build compiles a whole machine; TTFS
+// spans build + first spiking slice.
 obs::Histogram& build_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "server.build_ns", 0, 2'000'000'000, 400);
+  static obs::Histogram& h =
+      obs::Registry::global().histogram("server.build_ns");
   return h;
 }
 
 obs::Histogram& ttfs_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "server.ttfs_ns", 0, 2'000'000'000, 400);
+  static obs::Histogram& h =
+      obs::Registry::global().histogram("server.ttfs_ns");
   return h;
 }
 

@@ -31,18 +31,18 @@ obs::Counter& windows_metric() {
   return c;
 }
 obs::Histogram& window_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "sim.window_wall_ns", 0, 100'000'000, 1000);
+  static obs::Histogram& h =
+      obs::Registry::global().histogram("sim.window_wall_ns");
   return h;
 }
 obs::Histogram& barrier_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "sim.barrier_wall_ns", 0, 100'000'000, 1000);
+  static obs::Histogram& h =
+      obs::Registry::global().histogram("sim.barrier_wall_ns");
   return h;
 }
 obs::Histogram& merge_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "sim.merge_wall_ns", 0, 100'000'000, 1000);
+  static obs::Histogram& h =
+      obs::Registry::global().histogram("sim.merge_wall_ns");
   return h;
 }
 

@@ -14,20 +14,4 @@ double percentile(std::vector<double> samples, double p) {
   return samples[idx] + frac * (samples[idx + 1] - samples[idx]);
 }
 
-double Histogram::percentile(double p) const {
-  const std::uint64_t total = summary_.count();
-  if (total == 0) return 0.0;
-  const double target = p * static_cast<double>(total);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + frac * (bin_hi(i) - bin_lo(i));
-    }
-    cum = next;
-  }
-  return bin_hi(counts_.size() - 1);
-}
-
 }  // namespace spinn::sim

@@ -1,6 +1,7 @@
-// Lightweight statistics containers used by fabric, boot and bench code:
-// streaming mean/min/max/stddev and fixed-bin histograms (for latency
-// distributions), all cheap enough to update on every packet event.
+// Lightweight statistics used by fabric, boot and bench code: the exact
+// sample percentile and a streaming mean/min/max/stddev, cheap enough to
+// update on every packet event.  Latency distributions too large to keep
+// as samples go into the log-linear obs::Histogram (obs/registry.hpp).
 #pragma once
 
 #include <algorithm>
@@ -16,8 +17,8 @@ namespace spinn::sim {
 /// statistics (the R-7 / NumPy "linear" rule): p in [0, 1] maps onto
 /// position p * (n - 1) in the sorted samples.  Returns 0 for empty input
 /// and the sample itself for single-sample input.  This is the one
-/// percentile used by every bench harness; histogram-based estimates come
-/// from Histogram::percentile instead.
+/// percentile used by every bench harness; binned estimates come from
+/// obs::Histogram::percentile, within 6.25% of this exact value.
 double percentile(std::vector<double> samples, double p);
 class Summary {
  public:
@@ -54,47 +55,6 @@ class Summary {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// end bins so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-  void add(double x) {
-    summary_.add(x);
-    const double f = (x - lo_) / (hi_ - lo_);
-    auto bin = static_cast<std::int64_t>(
-        f * static_cast<double>(counts_.size()));
-    bin = std::clamp<std::int64_t>(bin, 0,
-                                   static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(bin)];
-  }
-
-  const std::vector<std::uint64_t>& counts() const { return counts_; }
-  const Summary& summary() const { return summary_; }
-
-  double bin_lo(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
-  double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-  /// Value below which the given fraction of samples fall (linear
-  /// interpolation inside the bin).
-  double percentile(double p) const;
-
-  double p50() const { return percentile(0.50); }
-  double p95() const { return percentile(0.95); }
-  double p99() const { return percentile(0.99); }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  Summary summary_;
 };
 
 }  // namespace spinn::sim

@@ -24,10 +24,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "sim/stats.hpp"
 #include "session_test_util.hpp"
 
 namespace spinn::net {
@@ -524,6 +526,49 @@ TEST(NetServer, MetricsVerbReportsPinnedFieldsAndRegistryRows) {
   const auto m2 = parse_metrics_response(client.request("metrics"));
   EXPECT_GE(m2.at("net.frames_in"), m.at("net.frames_in"));
   EXPECT_GE(m2.at("net.request_ns.count"), m.at("net.request_ns.count"));
+}
+
+// The histogram rows must describe what a client sees.  A scripted chain
+// session sends one batch frame per lifecycle (open, run, wait, close), so
+// the client's round trip is both the lifecycle and the request latency.
+// Build and time-to-first-spike happen inside the lifecycle, so their p50
+// cannot exceed its p50, and every row must be within 10x of the client's
+// figure: a histogram whose bins are wider than the values it sees reports
+// only the interpolation inside one bin, off by orders of magnitude.
+// Build is pure CPU on one thread, while a round trip also waits on thread
+// handoffs that stretch with the host's load (6 copies of this test on 4
+// cores put build p50 at 1/25 of the lifecycle p50), so build's floor is
+// taken from the fastest lifecycle.  ctest runs each case in its own
+// process, so the registry holds only this session's samples.
+TEST(NetServer, HistogramRowsMatchClientMeasuredLatency) {
+  NetServer srv;
+  Client client(srv.port());
+  std::vector<double> lifecycle_ns;
+  for (int i = 1; i <= 200; ++i) {
+    const std::int64_t t0 = WallClock::now_ns();
+    const auto blocks = Client::split_response(client.batch(
+        {"open app=chain seed=" + std::to_string(i), "run $ 10", "wait $",
+         "close $"}));
+    lifecycle_ns.push_back(static_cast<double>(WallClock::now_ns() - t0));
+    ASSERT_EQ(blocks.size(), 4u);
+    ASSERT_EQ(blocks[3], "ok");
+  }
+  const double lifecycle_p50 = sim::percentile(lifecycle_ns, 0.5);
+  const double lifecycle_min = sim::percentile(lifecycle_ns, 0.0);
+  const auto m = parse_metrics_response(client.request("metrics"));
+  const auto row = [&m](const char* name) {
+    EXPECT_TRUE(m.count(name) != 0) << name;
+    return m.count(name) != 0 ? static_cast<double>(m.at(name)) : 0.0;
+  };
+  const double build = row("server.build_ns.p50");
+  const double ttfs = row("server.ttfs_ns.p50");
+  const double request = row("net.request_ns.p50");
+  EXPECT_LE(build, lifecycle_p50);
+  EXPECT_GE(build * 10, lifecycle_min);
+  EXPECT_LE(ttfs, lifecycle_p50);
+  EXPECT_GE(ttfs * 10, lifecycle_p50);
+  EXPECT_LE(request, lifecycle_p50 * 10);
+  EXPECT_GE(request * 10, lifecycle_p50);
 }
 
 TEST(NetServer, TraceVerbControlsTheTracerAndDumpsChromeJson) {

@@ -1,11 +1,14 @@
-// The observability layer's own contract tests: percentile interpolation
-// pins (the one rule every bench and the registry share), counter/gauge/
-// histogram semantics under concurrency, the bounded trace ring, and the
-// tracer's Chrome-JSON dump shape.
+// The observability layer's own contract tests: the exact percentile rule
+// every bench shares, counter/gauge semantics under concurrency, the
+// log-linear histogram's layout and its accuracy against that exact rule,
+// the bounded trace ring, and the tracer's Chrome-JSON dump shape.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,51 +54,7 @@ TEST(Percentile, OutOfRangePClamps) {
   EXPECT_DOUBLE_EQ(sim::percentile(xs, 1.5), 3.0);
 }
 
-// ---- sim::Histogram percentile pins (bin interpolation) --------------------
-
-TEST(SimHistogram, EmptyPercentileIsZero) {
-  sim::Histogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.p50(), 0.0);
-}
-
-TEST(SimHistogram, SingleSampleInterpolatesInsideItsBin) {
-  // One sample in bin [3, 4): p=1.0 lands at the bin's top edge, p->0 at
-  // its bottom edge — the estimate never leaves the occupied bin.
-  sim::Histogram h(0.0, 10.0, 10);
-  h.add(3.5);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 4.0);
-  EXPECT_GE(h.percentile(0.01), 3.0);
-  EXPECT_LE(h.percentile(0.01), 4.0);
-}
-
-TEST(SimHistogram, BinEdgeSampleCountsInItsBin) {
-  // x exactly on a bin edge belongs to the higher bin ([lo, hi) bins).
-  sim::Histogram h(0.0, 10.0, 10);
-  h.add(3.0);
-  EXPECT_EQ(h.counts()[3], 1u);
-  EXPECT_EQ(h.counts()[2], 0u);
-}
-
-TEST(SimHistogram, UniformFillHitsExactQuartiles) {
-  sim::Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.p50(), 50.0, 1.0);
-  EXPECT_NEAR(h.p95(), 95.0, 1.0);
-  EXPECT_NEAR(h.p99(), 99.0, 1.0);
-}
-
-TEST(SimHistogram, OutOfRangeSamplesClampToEndBins) {
-  sim::Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(25.0);
-  EXPECT_EQ(h.counts().front(), 1u);
-  EXPECT_EQ(h.counts().back(), 1u);
-  // Everything above the range saturates at hi rather than extrapolating.
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
-}
-
-// ---- obs::Counter / Gauge / Histogram --------------------------------------
+// ---- obs::Counter / Gauge -------------------------------------------------
 
 TEST(ObsCounter, SumsAcrossConcurrentIncrements) {
   obs::Counter c;
@@ -128,47 +87,86 @@ TEST(ObsGauge, LastWriteWins) {
   EXPECT_EQ(g.value(), -5);
 }
 
+// ---- obs::Histogram: log-linear layout --------------------------------------
+
+TEST(Histogram, BinsAndClamping) {
+  using H = obs::Histogram;
+  EXPECT_EQ(H::kBins, 624u);
+  // 0..31 are exact (0..15, then 2^4's sub-buckets of width 1).
+  for (std::int64_t v = 0; v < 32; ++v) {
+    EXPECT_EQ(H::bin_of(v), static_cast<std::size_t>(v));
+  }
+  // 2^5 has sub-buckets of width 2: 32 and 33 share a bin, 34 starts one.
+  EXPECT_EQ(H::bin_of(32), 32u);
+  EXPECT_EQ(H::bin_of(33), 32u);
+  EXPECT_EQ(H::bin_of(34), 33u);
+  // Bins tile [0, 2^42) with no gap or overlap, each edge sample lands in
+  // its own bin, and every width is at most 1/16 of its lower edge (the
+  // 6.25% bound).
+  for (std::size_t b = 0; b < H::kBins; ++b) {
+    const std::int64_t lo = H::bin_lo(b);
+    const std::int64_t w = H::bin_width(b);
+    EXPECT_EQ(H::bin_of(lo), b);
+    EXPECT_EQ(H::bin_of(lo + w - 1), b);
+    if (b + 1 < H::kBins) {
+      EXPECT_EQ(H::bin_lo(b + 1), lo + w);
+    }
+    if (b >= 16) {
+      EXPECT_LE(w * 16, lo) << "bin " << b;
+    }
+  }
+  EXPECT_EQ(H::bin_lo(H::kBins - 1) + H::bin_width(H::kBins - 1), H::kTop);
+  // Out-of-range samples clamp to the end bins.
+  EXPECT_EQ(H::bin_of(-5), 0u);
+  EXPECT_EQ(H::bin_of(H::kTop), H::kBins - 1);
+  EXPECT_EQ(H::bin_of(std::numeric_limits<std::int64_t>::max()),
+            H::kBins - 1);
+}
+
 TEST(ObsHistogram, EmptyPercentileIsZero) {
-  obs::Histogram h(0, 1000, 100);
+  obs::Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.percentile(0.5), 0);
+  EXPECT_EQ(h.mean(), 0.0);
 }
 
 TEST(ObsHistogram, SingleSampleStaysInItsBin) {
-  obs::Histogram h(0, 1000, 100);  // 10-wide bins
-  h.observe(345);
+  obs::Histogram h;
+  h.observe(345);  // bin [336, 352): width 16 in [256, 512)
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.sum(), 345u);
-  EXPECT_GE(h.percentile(0.5), 340);
-  EXPECT_LE(h.percentile(0.5), 350);
-  EXPECT_GE(h.percentile(0.99), 340);
-  EXPECT_LE(h.percentile(0.99), 350);
+  EXPECT_EQ(h.mean(), 345.0);
+  for (const double p : {0.01, 0.5, 0.99}) {
+    EXPECT_GE(h.percentile(p), 336) << "p=" << p;
+    EXPECT_LT(h.percentile(p), 352) << "p=" << p;
+  }
 }
 
 TEST(ObsHistogram, ClampsOutOfRangeObservations) {
-  obs::Histogram h(0, 1000, 10);
+  obs::Histogram h;
   h.observe(-50);
-  h.observe(5000);
+  h.observe(obs::Histogram::kTop + 12345);  // above 2^42 ns
   EXPECT_EQ(h.count(), 2u);
   // The negative sample contributes 0 to the sum (sum is of clamped-at-0
   // magnitudes), the high one its real value.
-  EXPECT_EQ(h.sum(), 5000u);
-  EXPECT_EQ(h.percentile(1.0), 1000);  // saturates at hi
+  EXPECT_EQ(h.sum(), static_cast<std::uint64_t>(obs::Histogram::kTop) + 12345);
+  EXPECT_EQ(h.percentile(0.25), 0);  // the negative one sits in bin 0
+  EXPECT_EQ(h.percentile(1.0), obs::Histogram::kTop);  // saturates at top
 }
 
 TEST(ObsHistogram, PercentilesOrdered) {
-  obs::Histogram h(0, 10000, 1000);
+  obs::Histogram h;
   for (int i = 0; i < 1000; ++i) h.observe(i * 10);
   EXPECT_LE(h.percentile(0.50), h.percentile(0.95));
   EXPECT_LE(h.percentile(0.95), h.percentile(0.99));
-  EXPECT_NEAR(static_cast<double>(h.percentile(0.5)), 5000.0, 100.0);
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.5)), 5000.0, 5000.0 / 16);
 }
 
 TEST(ObsHistogram, SummaryMatchesIndividualPercentiles) {
   // summary() is the scrape path (one snapshot for all three
   // percentiles); with no concurrent writers it must agree exactly with
   // three percentile() calls.
-  obs::Histogram h(0, 10000, 1000);
+  obs::Histogram h;
   EXPECT_EQ(h.summary().count, 0u);
   EXPECT_EQ(h.summary().p99, 0);
   for (int i = 0; i < 1000; ++i) h.observe(i * 10);
@@ -179,6 +177,77 @@ TEST(ObsHistogram, SummaryMatchesIndividualPercentiles) {
   EXPECT_EQ(s.p99, h.percentile(0.99));
 }
 
+// ---- obs::Histogram accuracy against the exact sample percentile ------------
+//
+// The same samples go to the histogram and to sim::percentile; p50/p95/p99
+// must agree within the layout's 1/16 relative bound at every magnitude.
+
+void expect_within_bound(const std::vector<std::int64_t>& xs) {
+  obs::Histogram h;
+  std::vector<double> exact;
+  exact.reserve(xs.size());
+  for (const std::int64_t x : xs) {
+    h.observe(x);
+    exact.push_back(static_cast<double>(x));
+  }
+  for (const double p : {0.50, 0.95, 0.99}) {
+    const double want = sim::percentile(exact, p);
+    const auto got = static_cast<double>(h.percentile(p));
+    EXPECT_LE(std::abs(got - want), want / 16) << "p=" << p << " exact "
+                                               << want << " binned " << got;
+  }
+}
+
+TEST(ObsHistogram, PointMassMatchesExactPercentile) {
+  // A point mass is the layout's worst case: interpolation spreads the
+  // samples across the bin while the exact answer sits at one spot.  Sweep
+  // every bin's lower edge (farthest from where p99 lands), plus 75 us — a
+  // typical chain lifecycle, which a histogram whose first bin is 5 ms wide
+  // reports as 2.5 ms.
+  std::vector<std::int64_t> values = {75'000, 1'234'567'891};
+  for (std::size_t b = 0; b < obs::Histogram::kBins; ++b) {
+    values.push_back(obs::Histogram::bin_lo(b));
+  }
+  for (const std::int64_t v : values) {
+    SCOPED_TRACE(v);
+    expect_within_bound(std::vector<std::int64_t>(100, v));
+  }
+}
+
+TEST(ObsHistogram, WideUniformMatchesExactPercentile) {
+  // Six decades: 10 ns .. 10 ms.
+  std::mt19937_64 rng(7);
+  std::uniform_int_distribution<std::int64_t> dist(10, 10'000'000);
+  std::vector<std::int64_t> xs(100'000);
+  for (auto& x : xs) x = dist(rng);
+  expect_within_bound(xs);
+}
+
+TEST(ObsHistogram, HeavyTailMatchesExactPercentile) {
+  // Log-normal around 100 us with sigma 3 (in ln units): samples run from
+  // single-digit ns to seconds, p99 ~1000x the median.
+  std::mt19937_64 rng(11);
+  std::lognormal_distribution<double> dist(std::log(1e5), 3.0);
+  std::vector<std::int64_t> xs(100'000);
+  for (auto& x : xs) x = static_cast<std::int64_t>(dist(rng));
+  expect_within_bound(xs);
+}
+
+TEST(Histogram, PercentileMonotone) {
+  std::mt19937_64 rng(3);
+  std::lognormal_distribution<double> dist(std::log(1e4), 2.0);
+  obs::Histogram h;
+  for (int i = 0; i < 10'000; ++i) {
+    h.observe(static_cast<std::int64_t>(dist(rng)));
+  }
+  std::int64_t prev = h.percentile(0.0);
+  for (int i = 1; i <= 100; ++i) {
+    const std::int64_t cur = h.percentile(i / 100.0);
+    EXPECT_LE(prev, cur) << "p=" << i / 100.0;
+    prev = cur;
+  }
+}
+
 // ---- obs::Registry ---------------------------------------------------------
 
 TEST(ObsRegistry, FindOrCreateReturnsStableReferences) {
@@ -186,10 +255,9 @@ TEST(ObsRegistry, FindOrCreateReturnsStableReferences) {
   obs::Counter& a = reg.counter("test.registry.counter");
   obs::Counter& b = reg.counter("test.registry.counter");
   EXPECT_EQ(&a, &b);
-  obs::Histogram& ha = reg.histogram("test.registry.hist", 0, 100, 10);
-  obs::Histogram& hb = reg.histogram("test.registry.hist", 0, 999, 77);
-  EXPECT_EQ(&ha, &hb);  // re-registration keeps the original range
-  EXPECT_EQ(hb.hi(), 100);
+  obs::Histogram& ha = reg.histogram("test.registry.hist");
+  obs::Histogram& hb = reg.histogram("test.registry.hist");
+  EXPECT_EQ(&ha, &hb);
 }
 
 TEST(ObsRegistry, RowsSortedAndHistogramsExpand) {
@@ -197,7 +265,7 @@ TEST(ObsRegistry, RowsSortedAndHistogramsExpand) {
   reg.counter("test.rows.b").inc(2);
   reg.counter("test.rows.a").inc(1);
   reg.gauge("test.rows.g").set(5);
-  reg.histogram("test.rows.h", 0, 100, 10).observe(50);
+  reg.histogram("test.rows.h").observe(50);
   const auto rows = reg.rows();
   ASSERT_FALSE(rows.empty());
   for (std::size_t i = 1; i < rows.size(); ++i) {

@@ -1,5 +1,6 @@
 #include "net/protocol.hpp"
 
+#include <array>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <limits>
 #include <cstring>
 #include <string_view>
+#include <utility>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -241,6 +243,106 @@ std::string format_stats(const server::ServerStats& st) {
          " engines created=" + u64(st.engines.created) +
          " reused=" + u64(st.engines.reused) +
          " idle=" + std::to_string(st.engines.idle);
+}
+
+// ---- the transport verbs ---------------------------------------------------
+
+using Row = std::pair<std::string_view, std::uint64_t>;
+
+/// The transport fields in their pinned, append-only order: the one table
+/// behind both the `net k=v ...` line of `netstats` and the `net.*` rows
+/// of `metrics`.
+std::array<Row, 12> net_rows(const NetStats& s) {
+  return {{{"accepted", s.accepted},
+           {"refused", s.refused},
+           {"shed_slow", s.shed_slow},
+           {"shed_flood", s.shed_flood},
+           {"frames_in", s.frames_in},
+           {"frames_out", s.frames_out},
+           {"batches", s.batches},
+           {"faults", s.faults},
+           {"bytes_in", s.bytes_in},
+           {"bytes_out", s.bytes_out},
+           {"connections", s.connections},
+           {"reactors", s.reactors}}};
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char digits[20];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof digits, v);
+  (void)ec;  // u64 always fits 20 digits
+  out.append(digits, end);
+}
+
+std::string format_netstats(const NetStats& stats) {
+  std::string out = "net";
+  for (const auto& [name, value] : net_rows(stats)) {
+    out += ' ';
+    out += name;
+    out += '=';
+    append_u64(out, value);
+  }
+  return out;
+}
+
+/// `metrics <n>` then n `name value` lines.  Two sections, one stability
+/// contract each: the derived `net.*` / `server.*` fields are pinned in
+/// this order (append-only, like `netstats`); the obs::Registry rows after
+/// them are sorted by name, so a new metric inserts without reordering
+/// what a client already parses.  Scrapes arrive continuously, so the
+/// builder is allocation-light: string_view names, one reserve for the
+/// whole response, no per-row temporaries.
+std::string format_metrics(const NetStats& net,
+                           const server::ServerStats& srv) {
+  const std::array<Row, 12> net_fields = net_rows(net);
+  const Row server_fields[] = {
+      {"server.opened", srv.opened},
+      {"server.rejected", srv.rejected},
+      {"server.rejected_cost", srv.rejected_cost},
+      {"server.closed", srv.closed},
+      {"server.evicted", srv.evicted},
+      {"server.resident", srv.resident},
+      {"server.cost_resident", srv.cost_resident},
+      {"server.cost_budget", srv.cost_budget},
+      {"server.queue_depth", srv.queue_depth},
+      {"server.engines.created", srv.engines.created},
+      {"server.engines.reused", srv.engines.reused},
+      {"server.engines.idle", srv.engines.idle},
+  };
+  const auto registry_rows = obs::Registry::global().rows();
+  const std::size_t total =
+      net_fields.size() + std::size(server_fields) + registry_rows.size();
+  std::string out;
+  out.reserve(16 + 40 * total);
+  out += "metrics ";
+  append_u64(out, total);
+  const auto append_row = [&out](std::string_view prefix,
+                                 std::string_view name, std::uint64_t value) {
+    out += '\n';
+    out += prefix;
+    out += name;
+    out += ' ';
+    append_u64(out, value);
+  };
+  for (const auto& [name, value] : net_fields) append_row("net.", name, value);
+  for (const auto& [name, value] : server_fields) append_row("", name, value);
+  for (const auto& [name, value] : registry_rows) append_row("", name, value);
+  return out;
+}
+
+/// `trace start|stop|dump` against the process-wide obs::Tracer: `ok trace
+/// on|off`, a Chrome trace_event JSON document (`dump`), or `err ...`
+/// (unknown subcommand, or the NetConfig `allow_trace` gate is off).
+std::string handle_trace(const std::vector<std::string>& tokens,
+                         bool allow_trace) {
+  if (!allow_trace) return "err trace disabled";
+  const std::string sub = tokens.size() == 2 ? tokens[1] : std::string();
+  if (sub == "start" || sub == "stop") {
+    obs::Tracer::global().set_enabled(sub == "start");
+    return sub == "start" ? "ok trace on" : "ok trace off";
+  }
+  if (sub == "dump") return obs::Tracer::global().dump_json();
+  return "err usage: trace start|stop|dump";
 }
 
 }  // namespace
@@ -634,8 +736,8 @@ bool parse_open_id(const std::string& response, server::SessionId* id) {
   return true;
 }
 
-Request::Request(server::SessionServer& srv, const std::string& frame)
-    : srv_(srv), lines_(split_lines(frame)) {}
+Request::Request(NetServer& net, const std::string& frame)
+    : net_(net), srv_(net.sessions()), lines_(split_lines(frame)) {}
 
 void Request::respond(const std::string& block) {
   if (!response_.empty()) response_ += '\n';
@@ -925,6 +1027,19 @@ bool Request::advance() {
       ++next_line_;
       continue;
     }
+    if (cmd == "netstats" || cmd == "metrics" || cmd == "trace") {
+      if (lines_.size() > 1) {
+        fail("'" + cmd + "' is not batchable");
+      } else if (cmd == "netstats") {
+        respond(format_netstats(net_.stats()));
+      } else if (cmd == "metrics") {
+        respond(format_metrics(net_.stats(), srv_.stats()));
+      } else {
+        respond(handle_trace(tokens, net_.config().allow_trace));
+      }
+      ++next_line_;
+      continue;
+    }
     // Everything below addresses a session: <cmd> <id|$> [...].
     server::SessionId id = server::kInvalidSession;
     if (tokens.size() < 2 || !resolve_id(tokens[1], &id)) {
@@ -1000,97 +1115,6 @@ bool Request::advance() {
   if (response_.empty()) respond("err empty request");
   done_ = true;
   return true;
-}
-
-std::string format_metrics(const NetStats& net,
-                           const server::ServerStats& srv) {
-  // Two sections, one stability contract each: the derived `net.*` /
-  // `server.*` fields are pinned in this order (append-only, like
-  // `netstats`); the registry rows after them are sorted by name, so a new
-  // metric inserts without reordering what a client already parses.
-  // Scrapes arrive continuously (1 Hz pollers and worse), so the builder
-  // is deliberately allocation-light: string_view literals for the pinned
-  // rows, one reserve for the whole response, no per-row temporaries.
-  const std::pair<std::string_view, std::uint64_t> pinned[] = {
-      {"net.accepted", net.accepted},
-      {"net.refused", net.refused},
-      {"net.shed_slow", net.shed_slow},
-      {"net.shed_flood", net.shed_flood},
-      {"net.frames_in", net.frames_in},
-      {"net.frames_out", net.frames_out},
-      {"net.batches", net.batches},
-      {"net.faults", net.faults},
-      {"net.bytes_in", net.bytes_in},
-      {"net.bytes_out", net.bytes_out},
-      {"net.connections", net.connections},
-      {"net.reactors", net.reactors},
-      {"server.opened", srv.opened},
-      {"server.rejected", srv.rejected},
-      {"server.rejected_cost", srv.rejected_cost},
-      {"server.closed", srv.closed},
-      {"server.evicted", srv.evicted},
-      {"server.resident", srv.resident},
-      {"server.cost_resident", srv.cost_resident},
-      {"server.cost_budget", srv.cost_budget},
-      {"server.queue_depth", srv.queue_depth},
-      {"server.engines.created", srv.engines.created},
-      {"server.engines.reused", srv.engines.reused},
-      {"server.engines.idle", srv.engines.idle},
-  };
-  const auto registry_rows = obs::Registry::global().rows();
-  const std::size_t total = std::size(pinned) + registry_rows.size();
-  std::string out;
-  out.reserve(16 + 40 * total);
-  char digits[20];
-  const auto append_u64 = [&digits, &out](std::uint64_t v) {
-    const auto [end, ec] =
-        std::to_chars(digits, digits + sizeof digits, v);
-    (void)ec;  // u64 always fits 20 digits
-    out.append(digits, end);
-  };
-  out += "metrics ";
-  append_u64(total);
-  const auto append_row = [&](std::string_view name, std::uint64_t value) {
-    out += '\n';
-    out += name;
-    out += ' ';
-    append_u64(value);
-  };
-  for (const auto& [name, value] : pinned) append_row(name, value);
-  for (const auto& [name, value] : registry_rows) append_row(name, value);
-  return out;
-}
-
-std::string handle_trace(const std::string& line, bool allow_trace) {
-  if (!allow_trace) return "err trace disabled";
-  const std::vector<std::string> tokens = tokenize(line);
-  if (tokens.size() == 2 && tokens[1] == "start") {
-    obs::Tracer::global().set_enabled(true);
-    return "ok trace on";
-  }
-  if (tokens.size() == 2 && tokens[1] == "stop") {
-    obs::Tracer::global().set_enabled(false);
-    return "ok trace off";
-  }
-  if (tokens.size() == 2 && tokens[1] == "dump") {
-    return obs::Tracer::global().dump_json();
-  }
-  return "err usage: trace start|stop|dump";
-}
-
-std::string format_netstats(const NetStats& s) {
-  return "net accepted=" + std::to_string(s.accepted) +
-         " refused=" + std::to_string(s.refused) +
-         " shed_slow=" + std::to_string(s.shed_slow) +
-         " shed_flood=" + std::to_string(s.shed_flood) +
-         " frames_in=" + std::to_string(s.frames_in) +
-         " frames_out=" + std::to_string(s.frames_out) +
-         " batches=" + std::to_string(s.batches) +
-         " faults=" + std::to_string(s.faults) +
-         " bytes_in=" + std::to_string(s.bytes_in) +
-         " bytes_out=" + std::to_string(s.bytes_out) +
-         " connections=" + std::to_string(s.connections) +
-         " reactors=" + std::to_string(s.reactors);
 }
 
 }  // namespace spinn::net

@@ -82,10 +82,16 @@ class NetParser {
 /// pins this).
 std::vector<std::string> encode_net(const neural::NetworkDescription& desc);
 
-/// One request frame being executed against a SessionServer.
+/// One request frame being executed against a NetServer — the only place
+/// a command line is dispatched.  Session verbs go to the NetServer's
+/// SessionServer; the transport's own verbs (`netstats`, `metrics`, `trace
+/// start|stop|dump`) read the NetServer's aggregated counters and its
+/// `allow_trace` gate.  Those three answer alone: in a batch each is
+/// `err @<n> '<verb>' is not batchable`, because a multi-line `metrics` or
+/// `trace dump` block could not be split back out of a batch response.
 class Request {
  public:
-  Request(server::SessionServer& srv, const std::string& frame);
+  Request(NetServer& net, const std::string& frame);
 
   /// Execute command lines until the response is complete (true) or a
   /// `wait` parks on a busy session (false; see waiting_on()).  Call again
@@ -123,6 +129,7 @@ class Request {
   void exec_net_line(const std::string& line);
   bool resolve_id(const std::string& token, server::SessionId* id) const;
 
+  NetServer& net_;
   server::SessionServer& srv_;
   std::vector<std::string> lines_;
   std::size_t next_line_ = 0;
@@ -154,24 +161,5 @@ bool parse_spikes(const std::string& block,
 
 /// Parse `ok id=<id>`.  False (id untouched) for any other response.
 bool parse_open_id(const std::string& response, server::SessionId* id);
-
-/// Render the `netstats` verb's response line from an aggregated NetStats
-/// (the reactor answering the verb passes NetServer::stats(), which sums
-/// every reactor's counter shard).
-std::string format_netstats(const NetStats& stats);
-
-/// Render the `metrics` verb's response: `metrics <n>` then n `name value`
-/// lines.  The transport/server derived fields come first in pinned order
-/// (`net.*` from the aggregated NetStats, `server.*` from ServerStats —
-/// the same append-only stability contract as `netstats`), followed by the
-/// process-wide obs::Registry rows sorted by name (histograms expand to
-/// `.count/.p50/.p95/.p99`).  docs/OBSERVABILITY.md holds the transcript.
-std::string format_metrics(const NetStats& net, const server::ServerStats& srv);
-
-/// Execute a `trace start|stop|dump` command line against the process-wide
-/// obs::Tracer and return the response block: `ok trace on|off`, a Chrome
-/// trace_event JSON document (`dump`), or an `err ...` line (unknown
-/// subcommand, or `allow_trace` false — NetConfig gates the verb).
-std::string handle_trace(const std::string& line, bool allow_trace);
 
 }  // namespace spinn::net

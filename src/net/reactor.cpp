@@ -232,10 +232,6 @@ void Reactor::loop() {
     if (conn.dead) return;
     conn.dead = true;
     if (counter != nullptr) bump(counter);
-    {
-      MutexLock lk(&im.stats_mu);
-      --im.stats.connections;
-    }
     srv_.open_conns_.fetch_sub(1, std::memory_order_relaxed);
     doomed.push_back(conn.id);
   };
@@ -304,37 +300,7 @@ void Reactor::loop() {
       if (conn.parked) return true;
       if (!conn.active) {
         if (conn.inbox.empty()) return true;
-        // `netstats`, `metrics` and `trace` are the transport's own
-        // verbs — answered by the reactor, invisible to the session layer
-        // (and not batchable).  The counter dumps aggregate every
-        // reactor's shard (srv_.stats() snapshots one shard's stats lock
-        // at a time, never two at once).
-        const std::string& front = conn.inbox.front();
-        const bool is_trace =
-            front == "trace" || front.rfind("trace ", 0) == 0;
-        if (front == "netstats" || front == "metrics" || is_trace) {
-          std::string resp;
-          if (front == "netstats") {
-            resp = format_netstats(srv_.stats());
-          } else if (front == "metrics") {
-            resp = format_metrics(srv_.stats(), sessions.stats());
-          } else {
-            resp = handle_trace(front, cfg.allow_trace);
-          }
-          conn.inbox.pop_front();
-          append_frame(conn.outbox, resp);
-          {
-            // One lock acquisition for the correlated counters, so a
-            // concurrent scrape can never see the frame counted but its
-            // bytes missing (or vice versa).
-            MutexLock lk(&im.stats_mu);
-            im.stats.frames_out += 1;
-            im.stats.bytes_out += kFrameHeader + resp.size();
-          }
-          if (over_backlog(conn, kFrameHeader + resp.size())) return false;
-          continue;
-        }
-        conn.active = std::make_unique<Request>(sessions, conn.inbox.front());
+        conn.active = std::make_unique<Request>(srv_, conn.inbox.front());
         conn.active_start_ns = WallClock::now_ns();
         conn.inbox.pop_front();
         if (conn.active->commands() > 1) bump(&NetStats::batches);
@@ -343,9 +309,9 @@ void Reactor::loop() {
         const std::string& resp = conn.active->response();
         append_frame(conn.outbox, resp);
         {
-          // Correlated counters under one acquisition (see above): a
+          // Correlated counters under one acquisition: a concurrent
           // scrape sees this response's frame, bytes and faults together
-          // or not at all.
+          // or not at all, never the frame counted but its bytes missing.
           MutexLock lk(&im.stats_mu);
           im.stats.frames_out += 1;
           im.stats.bytes_out += kFrameHeader + resp.size();
@@ -467,8 +433,6 @@ void Reactor::loop() {
         cid, Impl::Conn(std::move(client), cid, cfg.max_frame));
     im.ep.add(fd, EPOLLIN, cid);
     it->second.events = EPOLLIN;
-    MutexLock lk(&im.stats_mu);
-    ++im.stats.connections;
   };
 
   // Take ownership of connections the accepting reactor dealt to us.
@@ -661,10 +625,6 @@ void Reactor::loop() {
   }
   srv_.open_conns_.fetch_sub(leftover, std::memory_order_relaxed);
   im.conns.clear();
-  {
-    MutexLock lk(&im.stats_mu);
-    im.stats.connections = 0;
-  }
 }
 
 }  // namespace spinn::net

@@ -63,9 +63,8 @@ class Reactor {
   /// wakeup.
   void adopt(Fd client);
 
-  /// This reactor's counter shard.  `connections` counts this shard's
-  /// live (non-doomed) connections, exact at any instant — not the map
-  /// size, which mid-iteration still holds doomed entries.
+  /// This reactor's counter shard (the `connections` and `reactors`
+  /// gauges are left 0: NetServer::stats() fills them in).
   NetStats stats_shard() const;
 
   /// A cheap cross-thread wake of this reactor, for

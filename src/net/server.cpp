@@ -65,8 +65,8 @@ void NetServer::stop() {
 
 NetStats NetServer::stats() const {
   // Shards are summed one lock at a time (never two shard locks held at
-  // once), so this nests safely under a reactor answering `netstats` from
-  // inside its own loop.
+  // once), so this nests safely under a reactor answering `netstats` or
+  // `metrics` from inside its own loop.
   NetStats out;
   for (const auto& r : reactors_) {
     const NetStats s = r->stats_shard();
@@ -80,8 +80,8 @@ NetStats NetServer::stats() const {
     out.faults += s.faults;
     out.bytes_in += s.bytes_in;
     out.bytes_out += s.bytes_out;
-    out.connections += s.connections;
   }
+  out.connections = open_conns_.load(std::memory_order_relaxed);
   out.reactors = reactors_.size();
   return out;
 }

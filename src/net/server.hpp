@@ -95,9 +95,10 @@ struct NetStats {
   std::uint64_t faults = 0;         // fault actions accepted onto schedules
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  std::size_t connections = 0;      // currently open (live, non-doomed)
-  /// Reactor threads contributing to this aggregate (0 in a single shard —
-  /// only NetServer::stats() fills it in).
+  /// Currently open (live, non-doomed) connections and the reactor threads
+  /// contributing to the aggregate.  Gauges, not counters: 0 in a single
+  /// reactor's shard — only NetServer::stats() fills them in.
+  std::size_t connections = 0;
   std::size_t reactors = 0;
 };
 
@@ -121,10 +122,14 @@ class NetServer {
   /// embedders can mix transport and API access (tests compare both).
   server::SessionServer& sessions() { return sessions_; }
 
+  /// The configuration the server was built with.
+  const NetConfig& config() const { return cfg_; }
+
   /// Number of reactor threads actually running (cfg.reactors resolved).
   std::size_t reactor_count() const { return reactors_.size(); }
 
-  /// Aggregate of every reactor's counter shard.
+  /// Aggregate of every reactor's counter shard, plus the live-connection
+  /// and reactor-count gauges.
   NetStats stats() const;
 
   /// Stop accepting, drop every connection, join the reactors.  Sessions
@@ -144,9 +149,11 @@ class NetServer {
   /// callback's id names a connection unambiguously whichever reactor
   /// shard it lives in.
   std::atomic<std::uint64_t> next_conn_{1};
-  /// Live connections across all shards, maintained by the reactors
-  /// (adopt ++, shed --); the accept path checks it against
-  /// cfg_.max_connections without touching any shard's map.
+  /// Live connections across all shards: the accepting reactor counts a
+  /// connection in (before dealing it), its owning reactor counts it out
+  /// at shed time — so a connection doomed mid-iteration is already gone.
+  /// The accept path checks it against cfg_.max_connections, and stats()
+  /// reports it as NetStats::connections.
   std::atomic<std::size_t> open_conns_{0};
   /// Round-robin dealing cursor for accepted connections.
   std::atomic<std::size_t> next_reactor_{0};

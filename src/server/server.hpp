@@ -7,8 +7,8 @@
 // pool of engines (serial or sharded, chosen per request) and multiplexing
 // many concurrent sessions over a small worker pool, each session walking
 // the lifecycle *load network -> configure -> run/step -> stream spikes ->
-// teardown*.  Transport is whatever wraps this class (examples/server_repl
-// speaks a line protocol on stdio); the subsystem is the point.
+// teardown*.  Transport is whatever wraps this class (src/net puts the
+// socket wire protocol in front of it); the subsystem is the point.
 //
 // Capacity: admission is cost-aware.  Every session carries an estimated
 // cost — (spec footprint + the network's estimated synapse count) ×

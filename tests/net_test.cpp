@@ -603,6 +603,54 @@ TEST(NetServer, TraceVerbIsRejectedWhenDisabledByConfig) {
   EXPECT_TRUE(m.count("net.accepted") != 0);
 }
 
+/// The keys of a parsed response, in order (values move between scrapes).
+std::vector<std::string> keys_of(
+    const std::map<std::string, std::uint64_t>& kv) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : kv) keys.push_back(key);
+  return keys;
+}
+
+// `netstats`, `metrics` and `trace` are dispatched like every other verb:
+// tokenized, so a trailing newline or stray blanks answer exactly as the
+// trimmed line does (they used to miss an exact-match branch and fall
+// through to `err usage: metrics <id|$> ...`).  In a batch each answers a
+// clean `err @<n>` naming it as not batchable — a multi-line `metrics` or
+// `trace dump` block could not be split back out of a batch response.
+TEST(NetServer, TransportVerbsTolerateWhitespaceAndRefuseBatching) {
+  NetServer srv;
+  Client client(srv.port());
+
+  const auto metrics = parse_metrics_response(client.request("metrics"));
+  const auto padded_metrics =
+      parse_metrics_response(client.request("metrics\n"));
+  ASSERT_FALSE(metrics.empty());
+  EXPECT_EQ(keys_of(padded_metrics), keys_of(metrics));
+  EXPECT_EQ(padded_metrics.at("net.frames_in"),
+            metrics.at("net.frames_in") + 1);
+
+  const std::string netstats = client.request("netstats");
+  const std::string padded_netstats = client.request("netstats ");
+  EXPECT_EQ(netstats.rfind("net accepted=1 ", 0), 0u) << netstats;
+  EXPECT_EQ(keys_of(parse_netstats_response(padded_netstats)),
+            keys_of(parse_netstats_response(netstats)));
+  EXPECT_NE(padded_netstats.find(" connections=1 "), std::string::npos)
+      << padded_netstats;
+
+  EXPECT_EQ(client.request(" trace start"), client.request("trace start"));
+  EXPECT_EQ(client.request("trace stop\n"), "ok trace off");
+  EXPECT_EQ(client.request("\ttrace  bogus "),
+            "err usage: trace start|stop|dump");
+
+  const auto blocks = Client::split_response(client.batch({"ping", "metrics"}));
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0], "ok");
+  EXPECT_EQ(blocks[1], "err @2 'metrics' is not batchable");
+  EXPECT_EQ(client.batch({"netstats", "trace dump", "ping"}),
+            "err @1 'netstats' is not batchable\n"
+            "err @2 'trace' is not batchable\nok");
+}
+
 // A client that pipelines its whole workload and then half-closes
 // (shutdown(SHUT_WR)) has declared end-of-input, not abandonment: every
 // queued request still executes — including one that parks on a wait —

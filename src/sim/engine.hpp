@@ -28,9 +28,10 @@ enum class EngineKind : std::uint8_t {
 
 struct EngineConfig {
   EngineKind kind = EngineKind::Serial;
-  /// Number of shards the chip mesh is partitioned into (contiguous
-  /// chip-index regions, which matches the linear-scan placement so most
-  /// traffic stays intra-shard).  0 = one shard per hardware thread.
+  /// Number of shards the chip mesh is dealt to, round-robin by chip index
+  /// (placement fills the lowest chip indices first, so a contiguous cut
+  /// would leave most shards idle; see sim/sharded_simulator.hpp).
+  /// 0 = one shard per hardware thread.
   std::uint32_t shards = 0;
   /// Worker threads driving the shards.  0 = min(shards, hardware threads).
   /// Thread count never affects results, only wall-clock time.

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -16,8 +17,10 @@ void EventQueue::push(TimeNs when, EventPriority priority, ActorId key_actor,
     throw std::logic_error("EventQueue: scheduling into the past");
   }
   if (exec_actor == kRootActor) root_whens_.insert(when);
-  heap_.push(Entry{EventKey{when, priority, key_actor, next_seq(key_actor)},
-                   exec_actor, std::move(action)});
+  heap_.push_back(Entry{
+      EventKey{when, priority, key_actor, next_seq(key_actor)}, exec_actor,
+      std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::schedule_at(TimeNs when, EventAction action,
@@ -57,14 +60,17 @@ void EventQueue::insert_foreign(const EventKey& key, ActorId exec_actor,
     throw std::logic_error("EventQueue: foreign event in the past");
   }
   if (exec_actor == kRootActor) root_whens_.insert(key.when);
-  heap_.push(Entry{key, exec_actor, std::move(action)});
+  heap_.push_back(Entry{key, exec_actor, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  // priority_queue::top() is const&; we must copy the action out before pop.
-  Entry entry = heap_.top();
-  heap_.pop();
+  // pop_heap moves the earliest entry to the back; move it out from there
+  // rather than copying the action (a closure clone per event).
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry entry = std::move(heap_.back());
+  heap_.pop_back();
   if (entry.exec_actor == kRootActor) {
     root_whens_.erase(root_whens_.find(entry.key.when));
   }
@@ -99,8 +105,8 @@ std::uint64_t EventQueue::run() {
 
 std::uint64_t EventQueue::run_window(TimeNs bound, bool inclusive) {
   std::uint64_t count = 0;
-  while (!heap_.empty() && (inclusive ? heap_.top().key.when <= bound
-                                      : heap_.top().key.when < bound)) {
+  while (!heap_.empty() && (inclusive ? heap_.front().key.when <= bound
+                                      : heap_.front().key.when < bound)) {
     step();
     ++count;
   }
@@ -109,7 +115,7 @@ std::uint64_t EventQueue::run_window(TimeNs bound, bool inclusive) {
 }
 
 void EventQueue::clear() {
-  while (!heap_.empty()) heap_.pop();
+  heap_.clear();
   root_whens_.clear();
 }
 

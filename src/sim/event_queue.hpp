@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <set>
 #include <vector>
 
@@ -130,7 +129,7 @@ class EventQueue {
   std::uint64_t executed() const { return executed_; }
 
   /// Key of the earliest pending event.  Only valid when !empty().
-  const EventKey& peek_key() const { return heap_.top().key; }
+  const EventKey& peek_key() const { return heap_.front().key; }
 
   /// Earliest `when` among pending root-exec events, or kTimeNever.  The
   /// sharded engine bounds its parallel windows below this instant: a
@@ -196,7 +195,9 @@ class EventQueue {
   /// An actor's counter lives in its home queue: only code executing under
   /// that actor (or single-threaded setup code) may draw from it.
   std::vector<std::uint64_t> seq_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  /// Binary min-heap on the key (std::push_heap/pop_heap with Later), kept
+  /// as a plain vector so step() can move the earliest entry out.
+  std::vector<Entry> heap_;
 };
 
 }  // namespace spinn::sim

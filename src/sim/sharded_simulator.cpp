@@ -30,6 +30,10 @@ obs::Counter& windows_metric() {
   static obs::Counter& c = obs::Registry::global().counter("sim.windows");
   return c;
 }
+obs::Counter& mail_metric() {
+  static obs::Counter& c = obs::Registry::global().counter("sim.mail");
+  return c;
+}
 obs::Histogram& window_hist() {
   static obs::Histogram& h =
       obs::Registry::global().histogram("sim.window_wall_ns");
@@ -62,7 +66,6 @@ ShardedSimulator::ShardedSimulator(std::uint64_t seed, std::uint32_t shards,
     shards_[s].ctx = std::make_unique<Simulator>(shard_seed);
     shards_[s].ctx->engine_ = this;
     shards_[s].ctx->shard_ = s;
-    shards_[s].outbox.resize(n);
   }
 }
 
@@ -81,14 +84,13 @@ void ShardedSimulator::map_actors(ActorId num_actors) {
   }
   mapped_actors_ = num_actors;
   shard_of_actor_.assign(num_actors, 0);
-  const std::uint64_t chips = num_actors - 1;  // actor 0 is the root
-  const std::uint64_t s = shards_.size();
+  const std::size_t s = shards_.size();
   for (ActorId a = 1; a < num_actors; ++a) {
-    // Contiguous balanced chip-index ranges; chip index order is the
-    // placement scan order, so populations stay mostly intra-shard.
-    shard_of_actor_[a] =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(a - 1) * s /
-                                   chips);
+    // Deal chips round-robin.  Placement fills the lowest chip indices
+    // first, so a net smaller than the machine is one contiguous run of
+    // busy chips; a contiguous cut would hand all of it to the first shard
+    // or two, the deal spreads it over every shard.
+    shard_of_actor_[a] = static_cast<std::uint32_t>((a - 1) % s);
   }
 }
 
@@ -153,7 +155,7 @@ void ShardedSimulator::post_handoff(Simulator& src, TimeNs delay,
   // so it is identical to what the serial engine would have assigned.
   const EventKey key = q.make_handoff_key(when, priority);
   if (parallel_active_) {
-    shards_[src.shard_].outbox[dst].push_back(
+    shards_[src.shard_].outbox.push_back(
         Mail{key, exec_actor, std::move(action)});
   } else {
     shards_[dst].ctx->queue().insert_foreign(key, exec_actor,
@@ -175,7 +177,7 @@ void ShardedSimulator::reset(std::uint64_t seed) {
     const std::uint64_t shard_seed =
         s == 0 ? seed : Rng::fork(seed, s).next();
     shards_[s].ctx->reset(shard_seed);
-    for (auto& box : shards_[s].outbox) box.clear();
+    shards_[s].outbox.clear();
   }
   shard_of_actor_.assign(1, 0);
   mapped_actors_ = 1;
@@ -363,15 +365,18 @@ void ShardedSimulator::run_slice(std::uint32_t worker, TimeNs bound,
 }
 
 void ShardedSimulator::drain_mailboxes() {
+  // Insertion order is irrelevant: keys are unique, so each heap pops the
+  // same sequence whichever order its mail arrives in.
+  std::uint64_t merged = 0;
   for (auto& src : shards_) {
-    for (std::size_t dst = 0; dst < src.outbox.size(); ++dst) {
-      for (auto& mail : src.outbox[dst]) {
-        shards_[dst].ctx->queue().insert_foreign(mail.key, mail.exec_actor,
-                                                 std::move(mail.action));
-      }
-      src.outbox[dst].clear();
+    for (auto& mail : src.outbox) {
+      shards_[shard_of_actor_[mail.exec_actor]].ctx->queue().insert_foreign(
+          mail.key, mail.exec_actor, std::move(mail.action));
     }
+    merged += src.outbox.size();
+    src.outbox.clear();
   }
+  if (merged > 0) mail_metric().inc(merged);
 }
 
 void ShardedSimulator::fire_hooks(TimeNs horizon) {

@@ -1,21 +1,31 @@
 // The sharded parallel simulation engine.
 //
-// The chip mesh is partitioned into contiguous chip-index regions, one event
-// queue per shard, driven by a pool of worker threads.  Synchronisation is a
-// conservative bounded-asynchrony window equal to the minimum inter-shard
-// link latency (the same lookahead argument arbor uses with the minimum
-// synaptic delay, and the same GALS argument the simulated machine itself is
-// built on): within a window [T0, T0+W) every shard runs independently,
-// because no cross-shard packet sent inside the window can arrive before
-// T0+W.  Cross-shard deliveries are posted into the destination shard's
-// mailbox and become visible at the next window barrier.
+// The chip mesh is dealt to shards round-robin — chip actor a goes to shard
+// (a - 1) mod S, the root actor 0 stays on shard 0 — with one event queue
+// per shard, driven by a pool of worker threads.  The deal exists because
+// placement fills the lowest chip indices first: a net smaller than the
+// machine is one contiguous run of busy chips, which a contiguous
+// chip-index cut hands to the first shard or two.  On bench_e12's net
+// (12x12 chips, 8 shards, 20 ms after load) the cut executed
+// 2.28M 2.87M 23k 360 360 360 360 18k events per shard (max/mean 4.4); the
+// deal executes 0.57M-0.70M on every shard (max/mean 1.07).
+//
+// Synchronisation is a conservative bounded-asynchrony window equal to the
+// minimum inter-chip link latency (the same lookahead argument arbor uses
+// with the minimum synaptic delay, and the same GALS argument the simulated
+// machine itself is built on): within a window [T0, T0+W) every shard runs
+// independently, because no cross-shard packet sent inside the window can
+// arrive before T0+W.  Under the deal almost every inter-chip hop crosses
+// shards: each shard posts its cross-shard deliveries into one outgoing
+// mail vector, which the coordinator merges into the destination queues at
+// the next window barrier.
 //
 // Determinism: events are ordered by the shard-stable (when, priority,
-// actor, seq) key (see sim/event_queue.hpp).  Mailbox entries carry the key
+// actor, seq) key (see sim/event_queue.hpp).  Mail entries carry the key
 // stamped on the sender's queue, so the merged per-shard order equals the
 // serial engine's global order projected onto each shard — observable
-// results are bit-identical to the serial reference for any shard or thread
-// count.
+// results are bit-identical to the serial reference for any shard count,
+// thread count or actor-to-shard mapping.
 #pragma once
 
 #include <atomic>
@@ -94,10 +104,11 @@ class ShardedSimulator final : public ISimulationEngine {
   };
   struct Shard {
     std::unique_ptr<Simulator> ctx;
-    /// Outgoing cross-shard events, one slot per destination shard.
-    /// Written only by the shard's owning worker, drained only by the
-    /// coordinator at window barriers.
-    std::vector<std::vector<Mail>> outbox;
+    /// Outgoing cross-shard events, all destinations in one vector (the
+    /// destination is `shard_of_actor_[exec_actor]`).  Written only by the
+    /// shard's owning worker, drained only by the coordinator at window
+    /// barriers.
+    std::vector<Mail> outbox;
   };
 
   std::uint64_t sequential_run_until(TimeNs until);

@@ -90,11 +90,11 @@ double measure_ttfs_ms(server::SessionServer& srv, std::uint64_t seed) {
   const auto id = srv.open(session_spec(seed, /*sharded=*/false));
   if (id == server::kInvalidSession) return -1.0;
   srv.run(id, kBioPerSession);
-  // Poll exactly like a streaming client would.
+  // Poll exactly like a streaming embedder would: one quantum, one drain.
   for (;;) {
     if (!srv.drain(id).empty()) break;
     if (srv.status(id).bio_now >= kBioPerSession) break;  // no spikes at all
-    std::this_thread::yield();
+    srv.poll();
   }
   const double ms = std::chrono::duration<double, std::milli>(clock::now() -
                                                               t0)
@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
               static_cast<double>(kBioPerSession) / kMillisecond, hw);
 
   server::ServerConfig cfg;
-  cfg.workers = 2;
   cfg.max_sessions = 16;
   server::SessionServer srv(cfg);
 

@@ -5,8 +5,8 @@
 // server and asks what serving costs once requests cross a socket: batch
 // frames (one round-trip per session lifecycle), pipelining (several
 // lifecycles in flight per connection), many concurrent connections
-// multiplexed by one reactor thread, and the same load sharded across
-// four reactors (NetConfig::reactors).  The headline comparison is
+// multiplexed by the reactor threads, which also drive the sessions.  The
+// headline comparison is
 // single-stream embedded serving (the e13 baseline, reproduced here on
 // an identically-configured PR 3 server in this process) vs
 // batched/pipelined socket serving — the transport must at least keep up
@@ -289,23 +289,19 @@ int main(int argc, char** argv) {
               kSessionsPerRound,
               static_cast<double>(kBioPerSession) / kMillisecond, hw);
 
-  // The baseline: a PR 3-shaped SessionServer (bench_e13's exact config —
-  // 2 workers, 16 slots, no transport) driven one session at a time.
+  // The baseline: bench_e13's exact SessionServer config (16 slots, no
+  // transport) driven one session at a time, wait() servicing each on
+  // this thread.
   server::ServerConfig e13_cfg;
-  e13_cfg.workers = 2;
   e13_cfg.max_sessions = 16;
   server::SessionServer baseline(e13_cfg);
 
-  // The system under test: single-threaded serving — the reactor drives
-  // the scheduler itself, so the socket path pays no cross-thread handoff
-  // (the winning shape on few-core hosts; see NetConfig::reactor_drives).
-  // The coarse slice drops per-quantum scheduling overhead; fairness
-  // across connections comes from the reactor's drive budget rather than
-  // sub-session slicing, so the worker model's 1 ms default is not needed
-  // here.
+  // The system under test: the default reactors, each driving the
+  // scheduler between epoll waits, so the socket path pays no cross-thread
+  // handoff.  The coarse slice drops per-quantum scheduling overhead;
+  // fairness across connections comes from each reactor's wall-clock
+  // drive budget rather than sub-session slicing.
   net::NetConfig cfg;
-  cfg.session.workers = 0;
-  cfg.reactor_drives = true;
   cfg.session.slice = kBioPerSession;
   cfg.session.max_sessions = 64;  // 8 conns × depth 4 all in flight
   net::NetServer srv(cfg);
@@ -517,55 +513,6 @@ int main(int argc, char** argv) {
     if (spikes == 0) std::printf("  WARNING: round produced no spikes\n");
   }
 
-  // Reactor scaling: the same c8d4 workload against a worker-model server
-  // (reactor_drives off, so >1 reactor is legal) at reactors=1 vs
-  // reactors=4.  On a single-core host the two land within noise of each
-  // other — the point the trajectory records is the *cost* of sharding
-  // (per-reactor epoll sets, handoff, counter shards), which must stay
-  // near zero so many-core hosts get the upside for free.
-  double rate_r1 = 0.0;
-  double rate_r4 = 0.0;
-  double wirenet_r1 = 0.0;
-  double wirenet_r4 = 0.0;
-  for (const std::size_t reactors : {std::size_t{1}, std::size_t{4}}) {
-    net::NetConfig rcfg;
-    rcfg.reactors = reactors;
-    rcfg.session.workers = 2;
-    rcfg.session.slice = kBioPerSession;
-    rcfg.session.max_sessions = 64;
-    net::NetServer rsrv(rcfg);
-    ClientPool rpool(rsrv.port(), 8);
-    rpool.round(2, 2);  // warm: accepts, engine pool, first adoption
-    char section[32];
-    std::snprintf(section, sizeof section, "net_c8d4_r%zu", reactors);
-    h.run(section, [&] { spikes = rpool.round(8, 4); }, kMinReps);
-    const double ms = h.section_ms(section);
-    const double rate = ms > 0.0 ? 1e3 * kSessionsPerRound / ms : 0.0;
-    std::printf("%-16s %10d %12.1f %14.0f  (%zu reactor%s, 2 workers)\n",
-                section, kSessionsPerRound, ms, rate, reactors,
-                reactors == 1 ? "" : "s");
-    if (spikes == 0) std::printf("  WARNING: round produced no spikes\n");
-    std::snprintf(section, sizeof section, "wirenet_c8d4_r%zu", reactors);
-    h.run(section,
-          [&] { spikes = rpool.round(8, 4, custom_net_batch); }, kMinReps);
-    const double wms = h.section_ms(section);
-    const double wrate = wms > 0.0 ? 1e3 * kSessionsPerRound / wms : 0.0;
-    std::printf("%-16s %10d %12.1f %14.0f  (client-described net)\n",
-                section, kSessionsPerRound, wms, wrate);
-    if (reactors == 1) {
-      rate_r1 = rate;
-      wirenet_r1 = wrate;
-    } else {
-      rate_r4 = rate;
-      wirenet_r4 = wrate;
-    }
-  }
-  std::printf("reactor scaling c8d4 (r4/r1): %.2fx builtin, %.2fx wirenet"
-              "%s\n",
-              rate_r1 > 0.0 ? rate_r4 / rate_r1 : 0.0,
-              wirenet_r1 > 0.0 ? wirenet_r4 / wirenet_r1 : 0.0,
-              hw <= 1 ? "  (single hw thread: parity expected)" : "");
-
   std::vector<double> submit_ms;
   for (std::uint64_t i = 0; i < 20; ++i) {
     const double ms = measure_submit_compile_ms(srv.port(), 9500 + i);
@@ -622,12 +569,6 @@ int main(int argc, char** argv) {
   h.metric("sessions_per_sec_wirenet_c8d4", wirenet_c8d4, "sessions/s");
   h.metric("wirenet_vs_builtin_ratio",
            rate_c8d4 > 0.0 ? wirenet_c8d4 / rate_c8d4 : 0.0, "");
-  h.metric("sessions_per_sec_net_c8d4_r1", rate_r1, "sessions/s");
-  h.metric("sessions_per_sec_net_c8d4_r4", rate_r4, "sessions/s");
-  h.metric("reactor_scaling_c8d4",
-           rate_r1 > 0.0 ? rate_r4 / rate_r1 : 0.0, "");
-  h.metric("sessions_per_sec_wirenet_c8d4_r1", wirenet_r1, "sessions/s");
-  h.metric("sessions_per_sec_wirenet_c8d4_r4", wirenet_r4, "sessions/s");
   h.metric("net_submit_compile_p50_ms", submit_p50, "ms");
   h.metric("net_submit_compile_p99_ms", submit_p99, "ms");
   h.metric("ttfs_p50_ms", ttfs_p50, "ms");

@@ -48,12 +48,10 @@ void print_stream(const char* label, const Events& events) {
 
 int main() {
   net::NetConfig cfg;
-  cfg.session.workers = 2;
   cfg.session.max_sessions = 16;
   net::NetServer srv(cfg);
   std::printf("net_demo: session server on a loopback socket — "
-              "%u workers, %zu session slots\n\n",
-              cfg.session.workers, cfg.session.max_sessions);
+              "%zu session slots\n\n", cfg.session.max_sessions);
 
   // --- 1. synchronous request/response -------------------------------------
   std::printf("[1] sync requests, one command per round-trip\n");

@@ -1,17 +1,16 @@
 // Server demo: ten concurrent sessions, one resident process.
 //
 // Opens 10 sessions on a SessionServer — mixed apps, seeds and engines
-// (serial and sharded) — runs them all concurrently on 4 workers while
-// polling incremental spike drains, then re-runs every spec standalone and
-// verifies each session's streamed spikes are bit-identical to the
-// standalone reference.  This is the acceptance demo for the session
+// (serial and sharded) — runs them all interleaved slice by slice, driving
+// the scheduler with poll() between incremental spike drains (the server
+// owns no threads: whoever needs progress drives), then re-runs every spec
+// standalone and verifies each session's streamed spikes are bit-identical
+// to the standalone reference.  This is the acceptance demo for the session
 // subsystem: multiplexing, engine pooling and slicing change *nothing*
 // observable.
 //
 //   $ ./server_demo
-#include <chrono>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "core/spinnaker.hpp"
@@ -54,7 +53,6 @@ int main() {
 
   // --- 2. One long-lived server; all ten sessions in flight at once. ------
   server::ServerConfig cfg;
-  cfg.workers = 4;
   cfg.max_sessions = specs.size();
   server::SessionServer srv(cfg);
 
@@ -69,10 +67,9 @@ int main() {
     srv.run(id, kRun);
     ids.push_back(id);
   }
-  std::printf("opened %zu concurrent sessions on %u workers\n", ids.size(),
-              cfg.workers);
+  std::printf("opened %zu concurrent sessions\n", ids.size());
 
-  // --- 3. Stream spikes while they run. ------------------------------------
+  // --- 3. Stream spikes while they run: one slice of each per round. -------
   std::vector<std::vector<neural::SpikeRecorder::Event>> streams(ids.size());
   for (bool busy = true; busy;) {
     busy = false;
@@ -81,7 +78,8 @@ int main() {
       streams[i].insert(streams[i].end(), batch.begin(), batch.end());
       if (srv.status(ids[i]).bio_now < kRun) busy = true;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (std::size_t q = 0; q < ids.size() && srv.poll(); ++q) {
+    }
   }
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto tail = srv.drain(ids[i]);

@@ -29,13 +29,10 @@ int main(int argc, char** argv) {
   }
   std::istream& in = scripted ? static_cast<std::istream&>(script) : std::cin;
 
-  spinn::net::NetConfig cfg;
-  cfg.session.workers = 2;
-  spinn::net::NetServer srv(cfg);
+  spinn::net::NetServer srv;
   spinn::net::Client client(srv.port());
-  std::printf("spinnaker session server — %u workers, %zu session slots "
-              "(type 'help')\n",
-              cfg.session.workers, cfg.session.max_sessions);
+  std::printf("spinnaker session server — %zu session slots (type 'help')\n",
+              srv.config().session.max_sessions);
 
   for (std::string line; std::getline(in, line);) {
     if (scripted) std::printf("> %s\n", line.c_str());

@@ -37,12 +37,18 @@ constexpr std::uint64_t kListenerTag = ~std::uint64_t{0} - 1;
 /// enough that recovery is prompt once fds free up.
 constexpr int kAcceptBackoffMs = 50;
 
-/// Self-pipe used to wake the reactor: scheduler workers poke it when a
-/// parked session idles, the accepting reactor pokes it on a connection
-/// handoff, stop() pokes it to interrupt the epoll wait.  Shared (via
-/// shared_ptr) between the reactor and every registered idle callback, so
-/// a callback firing during server teardown still writes into a live
-/// object whatever the member destruction order.
+/// Wall-clock budget of one drive burst of scheduler quanta between epoll
+/// waits.  The slice in progress when it runs out finishes first, so
+/// sockets wait behind at most one slice plus this budget.
+constexpr std::int64_t kDriveBurstNs = 200'000;
+
+/// Self-pipe used to wake the reactor: another thread pokes it when a
+/// parked session idles or when it submits session work, the accepting
+/// reactor pokes it on a connection handoff, stop() pokes it to interrupt
+/// the epoll wait.  Shared (via shared_ptr) between the reactor, every
+/// registered idle callback and the work signal, so a callback firing
+/// during server teardown still writes into a live object whatever the
+/// member destruction order.
 struct Wakeup {
   int fds[2] = {-1, -1};
   /// errno from a failed pipe(); 0 when the pipe exists.  A reactor with
@@ -52,7 +58,7 @@ struct Wakeup {
   int error = 0;
   /// The reactor thread's id, set once its loop starts: a notify from that
   /// thread is pointless (it is already awake) and skips the pipe write —
-  /// in reactor-drives mode that removes two syscalls per session.
+  /// which removes two syscalls per session the reactor drives itself.
   ///
   /// Deliberately lock-free (relaxed): a stale read can only err in the
   /// safe direction.  A thread that misses the just-stored owner id does
@@ -86,6 +92,10 @@ struct Wakeup {
     }
   }
 };
+
+/// Set on a reactor thread for its whole loop.  A reactor only submits
+/// session work to its own server, whose queue it drains before it sleeps.
+thread_local bool t_on_reactor = false;
 
 /// Connection ids whose parked request became resumable.  Shared with the
 /// idle callbacks for the same lifetime reason as Wakeup.  Per-reactor:
@@ -201,8 +211,17 @@ NetStats Reactor::stats_shard() const {
   return impl_->stats;
 }
 
-std::function<void()> Reactor::wake_fn() const {
-  return [wk = impl_->wakeup] { wk->notify(); };
+std::function<void()> Reactor::work_signal(
+    const std::vector<std::unique_ptr<Reactor>>& reactors) {
+  std::vector<std::shared_ptr<Wakeup>> wakeups;
+  wakeups.reserve(reactors.size());
+  for (const auto& r : reactors) wakeups.push_back(r->impl_->wakeup);
+  return [wakeups = std::move(wakeups),
+          next = std::make_shared<std::atomic<std::size_t>>(0)] {
+    if (t_on_reactor) return;  // it drives before its next epoll wait
+    wakeups[next->fetch_add(1, std::memory_order_relaxed) % wakeups.size()]
+        ->notify();
+  };
 }
 
 void Reactor::loop() {
@@ -397,8 +416,8 @@ void Reactor::loop() {
   // the queue stays empty: pumping a resumed connection can itself park
   // and resume again inline (an already-idle session fires the callback
   // on this thread, with no pipe write), and nothing may be left behind
-  // before the loop sleeps.  Worker-thread fires always write the pipe,
-  // so a notify racing the epoll wait is never lost either way.
+  // before the loop sleeps.  Fires from other threads always write the
+  // pipe, so a notify racing the epoll wait is never lost either way.
   // Note: resumed connections are pumped but not flushed here — responses
   // coalesce in the outbox and go to the wire in one send per connection
   // at the end of the iteration (flush_pending), so a pipelined client
@@ -515,11 +534,7 @@ void Reactor::loop() {
     }
   };
 
-  // Single-threaded serving (cfg.reactor_drives): run a bounded burst of
-  // scheduler quanta between socket polls.  Parked requests resume in the
-  // same iteration their session idles — no cross-thread handoff at all.
-  constexpr int kDriveQuanta = 64;
-
+  t_on_reactor = true;
   im.wakeup->owner.store(std::this_thread::get_id(),
                          std::memory_order_relaxed);
   im.ep.add(im.wakeup->fds[0], EPOLLIN, kWakeupTag);
@@ -585,20 +600,19 @@ void Reactor::loop() {
       flush(conn);
     }
 
+    // Alternate driving and resuming until the queue is empty or the burst
+    // budget is spent: answering a parked wait lets its connection pump the
+    // next pipelined frame, which submits new session work — all on this
+    // thread, with no pipe writes.  The wall-clock budget keeps a heavy
+    // session from starving this reactor's sockets.
     timeout_ms = 500;
-    if (cfg.reactor_drives) {
-      // Alternate driving and resuming until quiescent: answering a
-      // parked wait lets its connection pump the next pipelined frame,
-      // which submits new session work, which parks the next wait — all
-      // on this thread, with no pipe writes to re-wake us.  The budget
-      // keeps one connection's deep pipeline from starving socket I/O.
-      for (int budget = 16 * kDriveQuanta; budget > 0;) {
-        process_resumes();
-        int quanta = 0;
-        while (quanta < kDriveQuanta && sessions.poll()) ++quanta;
-        if (quanta == 0) break;  // idle: resumes drained, queue empty
-        budget -= quanta;
-        if (budget <= 0) timeout_ms = 0;  // work remains: poll, come back
+    const std::int64_t burst_end = WallClock::now_ns() + kDriveBurstNs;
+    for (;;) {
+      process_resumes();
+      if (!sessions.poll()) break;  // queue empty: resumes drained
+      if (WallClock::now_ns() >= burst_end) {
+        timeout_ms = 0;  // work may remain: poll the sockets, come back
+        break;
       }
     }
     // Inline idle fires during pump (already-idle sessions) queue resumes

@@ -9,6 +9,10 @@
 // `net`-grammar compilation, response formatting) across N cores without a
 // lock on any per-connection hot path.
 //
+// Each reactor also drives the session scheduler between epoll waits, for
+// a short wall-clock burst: a request's session runs on the reactor that
+// decoded it, and a socket waits behind at most one slice.
+//
 // Topology: reactor 0 owns the listener; accepted connections are dealt
 // round-robin across all reactors through adopt() (a mutex-guarded handoff
 // vector plus a wakeup-pipe poke).  A connection then lives on its owning
@@ -28,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "net/server.hpp"
 
@@ -67,9 +72,10 @@ class Reactor {
   /// gauges are left 0: NetServer::stats() fills them in).
   NetStats stats_shard() const;
 
-  /// A cheap cross-thread wake of this reactor, for
-  /// SessionServer::set_work_signal under reactor_drives.
-  std::function<void()> wake_fn() const;
+  /// The SessionServer work signal: a no-op on a reactor thread (it drives
+  /// before it sleeps); from any other thread, wakes the next reactor.
+  static std::function<void()> work_signal(
+      const std::vector<std::unique_ptr<Reactor>>& reactors);
 
  private:
   struct Impl;

@@ -12,7 +12,6 @@ namespace {
 
 std::size_t resolve_reactor_count(const NetConfig& cfg) {
   if (cfg.reactors != 0) return cfg.reactors;
-  if (cfg.reactor_drives) return 1;
   const std::size_t hw = std::thread::hardware_concurrency();
   const std::size_t cap = hw == 0 ? 1 : hw;
   return cap < 4 ? cap : 4;
@@ -29,13 +28,6 @@ NetServer::NetServer(const NetConfig& cfg)
                              std::to_string(cfg_.port) + " (" + error + ")");
   }
   const std::size_t n = resolve_reactor_count(cfg_);
-  if (cfg_.reactor_drives && n != 1) {
-    throw std::runtime_error(
-        "net: reactor_drives requires exactly one reactor (got reactors=" +
-        std::to_string(n) +
-        "); the drive loop assumes it is the only thread pumping the "
-        "session scheduler");
-  }
   // Construct every reactor (epoll set + wakeup pipe, throws on fd
   // exhaustion) before starting any thread: a failed sibling must not
   // leak a running loop, and ~NetServer never runs on a half-built object.
@@ -43,12 +35,9 @@ NetServer::NetServer(const NetConfig& cfg)
   for (std::size_t i = 0; i < n; ++i) {
     reactors_.push_back(std::make_unique<Reactor>(*this, i));
   }
-  if (cfg_.reactor_drives) {
-    // Embedded submissions must wake the (single) reactor's epoll wait;
-    // the hook's shared Wakeup keeps the signal safe through any
-    // destruction order.
-    sessions_.set_work_signal(reactors_[0]->wake_fn());
-  }
+  // Submissions made off the reactors (the embedded API) wake one of
+  // them; a reactor's own submissions are driven in the same iteration.
+  sessions_.set_work_signal(Reactor::work_signal(reactors_));
   for (auto& r : reactors_) r->start();
 }
 

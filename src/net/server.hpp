@@ -6,7 +6,8 @@
 // against the shared (thread-safe) SessionServer, and responses queue on a
 // bounded per-connection write buffer.  A connection lives on exactly one
 // reactor for its whole life, so per-connection ordering is untouched by
-// the sharding.  Four properties carry the load story:
+// the sharding.  The reactors also drive the session scheduler (see
+// net/reactor.hpp).  Four properties carry the load story:
 //
 //  * **Pipelining** — a connection may send any number of request frames
 //    without reading responses; they execute in order and answer in order
@@ -56,31 +57,19 @@ struct NetConfig {
   /// Decoded-but-unserviced request frames per connection before a
   /// flooding writer is shed.
   std::size_t max_pipeline = 256;
-  /// Reactor (event-loop) worker threads.  0 = auto: min(4, hardware
-  /// concurrency), or 1 under `reactor_drives`.  Each reactor owns its own
-  /// epoll set, wakeup pipe, resume queue and connection shard and runs
-  /// the full frame-decode → execute → response-format pipeline; reactor 0
-  /// owns the listener and deals accepted connections round-robin.
-  /// `reactor_drives` requires exactly one reactor (the drive loop assumes
-  /// it is the only thread pumping the session scheduler) — construction
-  /// throws otherwise.
+  /// Reactor (event-loop) threads.  0 = auto: min(4, hardware
+  /// concurrency).  Each reactor owns its own epoll set, wakeup pipe,
+  /// resume queue and connection shard and runs the full frame-decode →
+  /// execute → response-format pipeline; reactor 0 owns the listener and
+  /// deals accepted connections round-robin.
   std::size_t reactors = 0;
-  /// Single-threaded serving: the reactor itself drives the session
-  /// scheduler (bounded quanta between socket polls) instead of scheduler
-  /// workers.  With `session.workers = 0` this removes every cross-thread
-  /// handoff from the serving path — no condvars, no wakeup pipes between
-  /// transport and simulation — which is the fastest configuration on
-  /// few-core hosts (see bench_e14).  Embedded API calls still work: run()
-  /// submissions signal the reactor through the work hook, and wait()
-  /// blocks the caller, not the reactor.
-  bool reactor_drives = false;
   /// Gate for the `trace start|stop|dump` verb.  Tracing is process-wide
   /// state (obs::Tracer), so a deployment serving untrusted clients can
   /// turn the verb off wholesale; `metrics` and `netstats` are read-only
   /// and always available.
   bool allow_trace = true;
-  /// The embedded session server (workers, slice, max_sessions,
-  /// cost_budget, engine pool).
+  /// The embedded session server (slice, max_sessions, cost_budget,
+  /// engine pool).
   server::ServerConfig session;
 };
 
@@ -108,7 +97,7 @@ class NetServer {
   /// the socket cannot be bound (port in use), when a reactor's epoll set
   /// or wakeup pipe cannot be created (fd exhaustion — a wakeup-less
   /// reactor would silently degrade every cross-thread resume to the poll
-  /// timeout), or when `reactor_drives` is combined with `reactors != 1`.
+  /// timeout).
   explicit NetServer(const NetConfig& cfg = NetConfig{});
   ~NetServer();
 

@@ -2,16 +2,6 @@
 
 namespace spinn::server {
 
-SessionScheduler::SessionScheduler(std::uint32_t workers, TimeNs slice)
-    : slice_(slice) {
-  workers_.reserve(workers);
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
-}
-
-SessionScheduler::~SessionScheduler() { stop(); }
-
 void SessionScheduler::submit(const std::shared_ptr<Session>& session) {
   if (!session->try_mark_queued()) return;  // already in the queue
   std::function<void()> hook;
@@ -20,7 +10,7 @@ void SessionScheduler::submit(const std::shared_ptr<Session>& session) {
     ready_.push_back(session);
     hook = submit_hook_;
   }
-  cv_.notify_one();
+  cv_.notify_all();
   if (hook) hook();
 }
 
@@ -45,45 +35,41 @@ std::size_t SessionScheduler::depth() const {
 bool SessionScheduler::drive() {
   std::shared_ptr<Session> s = pop();
   if (!s) return false;
+  // service() clears the queued flag itself, under the session lock, when
+  // the session runs out of work: a run request racing the slice's end
+  // either lands before (and keeps it queued) or re-submits after.
   const bool more = s->service(slice_);
-  if (more) {
-    // Round-robin: back of the queue, queued flag kept.
-    {
-      MutexLock lk(&mu_);
-      ready_.push_back(s);
-    }
-    cv_.notify_one();
-  } else {
-    s->mark_unqueued();
-    // Close the unqueue/submit race: a run request that arrived while we
-    // were finishing saw the session still queued and skipped its submit.
-    if (s->has_work()) submit(s);
+  {
+    MutexLock lk(&mu_);
+    if (more) ready_.push_back(std::move(s));  // round-robin: back of queue
+    ++slices_;
   }
+  cv_.notify_all();
   return true;
 }
 
-void SessionScheduler::worker_main() {
+void SessionScheduler::drive_until_idle(const Session& session) {
   for (;;) {
+    std::uint64_t seen = 0;
     {
-      // Explicit predicate loop (not a wait lambda): stopping_ and ready_
-      // are guarded, and the analysis can't see into a predicate lambda.
       MutexLock lk(&mu_);
-      while (!stopping_ && ready_.empty()) cv_.wait(lk);
-      if (stopping_) return;
+      seen = slices_;
     }
-    drive();
+    if (!session.queued()) break;
+    if (drive()) continue;
+    // The queue is empty but the session is still queued: another thread
+    // is servicing it.  Sleep until some slice ends or work lands.
+    // Explicit predicate loop: the analysis can't see into a lambda.
+    MutexLock lk(&mu_);
+    while (slices_ == seen && ready_.empty()) cv_.wait(lk);
   }
-}
-
-void SessionScheduler::stop() {
+  // Work this thread requeued must not strand once it stops driving.
+  std::function<void()> hook;
   {
     MutexLock lk(&mu_);
-    if (stopping_) return;
-    stopping_ = true;
+    if (!ready_.empty()) hook = submit_hook_;
   }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-  workers_.clear();
+  if (hook) hook();
 }
 
 }  // namespace spinn::server

@@ -3,13 +3,13 @@
 namespace spinn::server {
 
 SessionServer::SessionServer(const ServerConfig& cfg)
-    : cfg_(cfg), pool_(cfg.pool), scheduler_(cfg.workers, cfg.slice) {}
+    : cfg_(cfg), pool_(cfg.pool), scheduler_(cfg.slice) {}
 
 SessionServer::~SessionServer() {
-  // Stop workers first so no slice is in flight, then tear sessions down
-  // (returning their engines to the pool, which outlives them by member
-  // order: pool_ is declared before sessions_).
-  scheduler_.stop();
+  // No slice is in flight: the server owns no threads, and whoever drove
+  // it (a transport's reactors) has stopped.  Tear sessions down,
+  // returning their engines to the pool, which outlives them by member
+  // order (pool_ is declared before sessions_).
   std::map<SessionId, Entry> doomed;
   {
     MutexLock lk(&mu_);
@@ -111,7 +111,7 @@ SessionId SessionServer::admit(const SessionSpec& spec, TimeNs initial_run,
   for (const auto& v : victims) v->close(/*evicted=*/true);
   if (!session) return kInvalidSession;
   if (initial_run > 0) session->request_run(initial_run);
-  // Build eagerly on a worker: time-to-first-spike starts at open.  For
+  // Queue the build now: time-to-first-spike starts at open.  For
   // open_and_run the same submission also covers the first run request.
   scheduler_.submit(session);
   return session->id();
@@ -206,7 +206,7 @@ bool SessionServer::fault(SessionId id, const FaultAction& action,
 bool SessionServer::wait(SessionId id) {
   auto s = find(id);
   if (!s) return false;
-  s->wait_idle();
+  scheduler_.drive_until_idle(*s);
   return true;
 }
 

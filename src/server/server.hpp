@@ -5,10 +5,12 @@
 // replaced without a restart (§5.2, §6).  This front-end mirrors that
 // operational model at the simulator level — one resident process owning a
 // pool of engines (serial or sharded, chosen per request) and multiplexing
-// many concurrent sessions over a small worker pool, each session walking
-// the lifecycle *load network -> configure -> run/step -> stream spikes ->
-// teardown*.  Transport is whatever wraps this class (src/net puts the
-// socket wire protocol in front of it); the subsystem is the point.
+// many concurrent sessions, each walking the lifecycle *load network ->
+// configure -> run/step -> stream spikes -> teardown*.  Like the paper's
+// machine, it runs work where the request lands: the server owns no
+// threads; wait(), a socket reactor or poll() runs the slices.
+// Transport is whatever wraps this class (src/net puts the socket wire
+// protocol in front of it); the subsystem is the point.
 //
 // Capacity: admission is cost-aware.  Every session carries an estimated
 // cost — (spec footprint + the network's estimated synapse count) ×
@@ -40,9 +42,6 @@
 namespace spinn::server {
 
 struct ServerConfig {
-  /// Worker threads servicing sessions.  0 = deterministic manual mode
-  /// (tests drive with poll()).
-  std::uint32_t workers = 2;
   /// Resident-session cap; see eviction note above.
   std::size_t max_sessions = 8;
   /// Resident cost budget in admission_cost units ((spec footprint +
@@ -79,8 +78,8 @@ class SessionServer {
   SessionServer(const SessionServer&) = delete;
   SessionServer& operator=(const SessionServer&) = delete;
 
-  /// Admit a session.  On success the build is already queued on a worker
-  /// (so time-to-first-spike starts now, not at the first run request).
+  /// Admit a session.  On success the build is already queued (so
+  /// time-to-first-spike starts now, not at the first run request).
   /// Returns kInvalidSession with a reason in *error when the spec is
   /// invalid or the server is full of busy sessions.
   SessionId open(const SessionSpec& spec, std::string* error = nullptr)
@@ -103,7 +102,10 @@ class SessionServer {
   bool fault(SessionId id, const FaultAction& action,
              std::string* error = nullptr) SPINN_EXCLUDES(mu_);
 
-  /// Block until the session has no pending work.  False for unknown ids.
+  /// Return once the session has no pending work, driving the scheduler
+  /// on the calling thread meanwhile (any session's quanta, round-robin).
+  /// Blocks only while another thread is mid-slice on this session and
+  /// nothing else is queued.  False for unknown ids.
   bool wait(SessionId id) SPINN_EXCLUDES(mu_);
 
   /// Non-blocking wait probe: true while the session is known and still
@@ -111,8 +113,8 @@ class SessionServer {
   bool busy(SessionId id) const SPINN_EXCLUDES(mu_);
 
   /// Invoke `fn` exactly once when the session next has no pending work
-  /// (immediately, on this thread, if it is already idle; from a scheduler
-  /// worker otherwise).  The non-blocking sibling of wait(): transports
+  /// (immediately, on this thread, if it is already idle; otherwise from
+  /// the thread that services its last slice).  The non-blocking sibling of wait(): transports
   /// park pipelined `wait` requests on it instead of tying up a thread.
   /// False for unknown ids (`fn` is not invoked).
   bool notify_idle(SessionId id, std::function<void()> fn)
@@ -131,16 +133,16 @@ class SessionServer {
   /// already closed (double teardown is a clean no-op).
   bool close(SessionId id) SPINN_EXCLUDES(mu_);
 
-  /// Manual-mode servicing (workers == 0): run one scheduling quantum on
-  /// the calling thread.  Returns false when no session had queued work.
+  /// Run one scheduling quantum on the calling thread.  Returns false when
+  /// no session had queued work.  For deterministic tests and embedders
+  /// that stream drains while sessions run.
   bool poll();
 
   /// Register a cheap signal fired whenever session work lands in the
-  /// ready queue.  A transport that drives the scheduler itself via poll()
-  /// (single-threaded serving: NetConfig::reactor_drives) hooks its wakeup
-  /// here, so work submitted through the embedded API can't sleep through
-  /// its event loop.  The signal runs on the submitting thread and must be
-  /// cheap and non-reentrant (a pipe write, not a poll()).
+  /// ready queue (and when a wait() returns leaving work queued).  A
+  /// transport whose threads drive the scheduler via poll() hooks its
+  /// wakeup here.  It runs on the submitting thread and must be cheap and
+  /// non-reentrant (a pipe write, not a poll()).
   void set_work_signal(std::function<void()> fn);
 
   ServerStats stats() const SPINN_EXCLUDES(mu_);

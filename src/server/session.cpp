@@ -147,7 +147,7 @@ bool Session::service(TimeNs slice) {
     more = work_pending_locked();
     if (!more) {
       if (state_ == SessionState::Running) state_ = SessionState::Ready;
-      idle_cv_.notify_all();
+      queued_.store(false, std::memory_order_release);
       fire.swap(idle_callbacks_);
     }
   }
@@ -223,13 +223,6 @@ bool Session::has_work() const {
   return work_pending_locked();
 }
 
-void Session::wait_idle() {
-  // Explicit predicate loop: the analysis can't see into a predicate
-  // lambda, and work_pending_locked() requires mu_.
-  MutexLock lk(&mu_);
-  while (work_pending_locked()) idle_cv_.wait(lk);
-}
-
 void Session::notify_idle(std::function<void()> fn) {
   {
     MutexLock lk(&mu_);
@@ -296,7 +289,6 @@ bool Session::close(bool evicted) {
       lease_.release();
       faults_.reset();
       net_.reset();
-      idle_cv_.notify_all();
       fire.swap(idle_callbacks_);
       obs::Tracer::global().instant("session", "session.close",
                                     WallClock::now_ns(), "id", id_);

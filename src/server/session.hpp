@@ -2,16 +2,17 @@
 //
 //   load network -> configure -> run/step -> stream spikes -> teardown
 //
-// A session compiles its SessionSpec into a core::System on first service
-// (on a scheduler worker, off the client's thread), runs requested
-// biological time in bounded slices so many sessions share few workers
-// fairly, and exposes incremental spike drains between slices so a client
-// can poll or stream results mid-run.  Sessions are isolated: each owns its
-// engine lease (own RNG streams via the engine reset) and its own recorder.
+// A session compiles its SessionSpec into a core::System on its first
+// service slice, runs requested biological time in bounded slices so many
+// sessions share the driving threads fairly, and exposes incremental spike
+// drains between slices so a client can poll or stream results mid-run.
+// Sessions are isolated: each owns its engine lease (own RNG streams via
+// the engine reset) and its own recorder.
 //
 // Thread model: every public method is safe to call from any thread.  One
-// mutex guards all state; scheduler workers hold it for the duration of one
-// service slice, so client calls (drain/status/close) interleave at slice
+// mutex guards all state; whichever thread services a slice (a waiter, a
+// socket reactor, a poll() caller) holds it for the duration of that
+// slice, so client calls (drain/status/close) interleave at slice
 // granularity.
 #pragma once
 
@@ -35,9 +36,9 @@ using SessionId = std::uint64_t;
 inline constexpr SessionId kInvalidSession = 0;
 
 enum class SessionState : std::uint8_t {
-  Pending,  // accepted; system not yet built (build runs on a worker)
+  Pending,  // accepted; system not yet built (build is the first slice)
   Ready,    // built and idle: runnable, drainable, evictable
-  Running,  // a worker is advancing biological time
+  Running,  // a slice is advancing biological time
   Failed,   // build or load failed; error() says why
   Closed,   // torn down (client close, eviction or server shutdown)
 };
@@ -76,7 +77,7 @@ class Session {
   SessionId id() const { return id_; }
   const SessionSpec& spec() const { return spec_; }
 
-  /// Extend the biological-time target.  Work happens on scheduler workers;
+  /// Extend the biological-time target.  Work happens in scheduler slices;
   /// returns false once the session is closed or failed.
   bool request_run(TimeNs duration) SPINN_EXCLUDES(mu_);
 
@@ -89,24 +90,22 @@ class Session {
   bool schedule_fault(const FaultAction& action, std::string* error)
       SPINN_EXCLUDES(mu_);
 
-  /// Perform one work quantum on the calling (worker) thread: build the
-  /// system if still Pending, else advance at most `slice` of biological
-  /// time.  Returns true while more work is pending.
+  /// Perform one work quantum on the calling thread: build the system if
+  /// still Pending, else advance at most `slice` of biological time.
+  /// Returns true while more work is pending; otherwise clears the queued
+  /// flag under the session lock, so a racing run request either lands
+  /// before the check or finds the flag clear and re-submits.
   bool service(TimeNs slice) SPINN_EXCLUDES(mu_);
 
-  /// True while the session needs worker time (build pending or bio time
+  /// True while the session needs service (build pending or bio time
   /// still owed).
   bool has_work() const SPINN_EXCLUDES(mu_);
 
-  /// Block until the session has no pending work (or is closed/failed).
-  void wait_idle() SPINN_EXCLUDES(mu_);
-
   /// Invoke `fn` exactly once when the session next has no pending work:
   /// immediately (on the calling thread) if already idle, otherwise from
-  /// whichever thread drains the work (a scheduler worker, or close()).
-  /// This is the non-blocking sibling of wait_idle() — transports park a
-  /// pipelined `wait` on it instead of tying up a thread.  `fn` must not
-  /// call back into the session.
+  /// whichever thread drains the work (the one servicing the last slice,
+  /// or close()).  Transports park a pipelined `wait` on it instead of
+  /// tying up a thread.  `fn` must not call back into the session.
   void notify_idle(std::function<void()> fn) SPINN_EXCLUDES(mu_);
 
   /// Spikes recorded since the previous drain, in recording order.  Empty
@@ -122,11 +121,14 @@ class Session {
 
   /// Scheduler queue-membership flag (dedup: a session sits in the ready
   /// queue at most once).  try_mark_queued() returns true to the single
-  /// caller that acquired queue membership.
+  /// caller that acquired queue membership; service() clears it.  A
+  /// session owing work is queued, bar the instant between a request and
+  /// its submit on the requesting thread — so queued() is the lock-free
+  /// busy probe a waiter polls without blocking behind a running slice.
   bool try_mark_queued() {
     return !queued_.exchange(true, std::memory_order_acq_rel);
   }
-  void mark_unqueued() { queued_.store(false, std::memory_order_release); }
+  bool queued() const { return queued_.load(std::memory_order_acquire); }
 
  private:
   /// Timed wrapper (session.build span + server.build_ns histogram)
@@ -150,7 +152,6 @@ class Session {
   const std::int64_t opened_wall_ns_;
 
   mutable Mutex mu_;
-  CondVar idle_cv_;
   std::atomic<bool> queued_{false};
 
   SessionState state_ SPINN_GUARDED_BY(mu_) = SessionState::Pending;

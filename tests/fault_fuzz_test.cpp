@@ -53,9 +53,7 @@ FaultAction random_action(std::mt19937_64& rng, const server::SessionSpec& s,
 
 TEST(FaultFuzz, RandomSchedulesNeverWedgeTheServer) {
   std::mt19937_64 rng(0xfa17u);
-  server::ServerConfig cfg;
-  cfg.workers = 2;
-  server::SessionServer server(cfg);
+  server::SessionServer server;
   const TimeNs run = 20 * kMillisecond;
 
   int failed_sessions = 0;
@@ -133,9 +131,7 @@ TEST(FaultFuzz, HostileScheduleExhaustsSparesWithoutLeaking) {
   // Deliberately sink every session: kill more cores than the machine has
   // spares.  Each session must fail with the quantified no-spare reason
   // and still tear down cleanly.
-  server::ServerConfig cfg;
-  cfg.workers = 2;
-  server::SessionServer server(cfg);
+  server::SessionServer server;
   for (int round = 0; round < 3; ++round) {
     server::SessionSpec spec = spec_with("noise", 40 + round,
                                          sim::EngineKind::Serial);

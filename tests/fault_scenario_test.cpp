@@ -159,9 +159,7 @@ FaultAction heal_link(ChipCoord chip, LinkDir dir, TimeNs at) {
 
 Outcome run_embedded(const Scenario& sc, sim::EngineKind engine) {
   Outcome out;
-  server::ServerConfig cfg;
-  cfg.workers = 2;
-  server::SessionServer server(cfg);
+  server::SessionServer server;
   server::SessionSpec spec = sc.spec;
   spec.engine = engine;
   if (engine == sim::EngineKind::Sharded) {

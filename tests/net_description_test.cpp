@@ -276,7 +276,6 @@ TEST(NetDescription, WireNetIndistinguishableFromBuiltinApp) {
 // its description run standalone.
 TEST(NetDescription, EightConcurrentConnectionsSubmitDistinctNets) {
   NetConfig cfg;
-  cfg.session.workers = 4;
   cfg.session.max_sessions = 8;
   NetServer srv(cfg);
 
@@ -329,9 +328,7 @@ TEST(NetDescription, EightConcurrentConnectionsSubmitDistinctNets) {
 // session returns is recycled for the next net, and reset() makes the
 // recycled run bit-identical to a fresh standalone one.
 TEST(NetDescription, EngineReuseAcrossDifferentlyShapedNets) {
-  NetConfig cfg;
-  cfg.session.workers = 1;
-  NetServer srv(cfg);
+  NetServer srv;
 
   const NetBuilder small = custom_net(1);
   const NetBuilder big = custom_net(3);
@@ -453,7 +450,6 @@ TEST(NetDescription, AdmissionChargesTheSynapseTerm) {
 // and the rejection does not evict the resident (busy) session.
 TEST(NetDescription, OverBudgetNetRejectedWithoutEvictingResidents) {
   NetConfig cfg;
-  cfg.session.workers = 0;  // sessions stay busy: nothing is evictable
   server::SessionSpec resident = spec_with("chain", 1, sim::EngineKind::Serial);
   resident.bio_hint = 10 * kMillisecond;
   cfg.session.cost_budget = server::admission_cost(resident);
@@ -463,6 +459,8 @@ TEST(NetDescription, OverBudgetNetRejectedWithoutEvictingResidents) {
   server::SessionId id = server::kInvalidSession;
   ASSERT_TRUE(parse_open_id(
       client.request("open app=chain seed=1 bio_hint_ms=10"), &id));
+  // An outstanding long run keeps the resident busy: nothing is evictable.
+  ASSERT_EQ(client.request("run " + std::to_string(id) + " 1000000"), "ok");
 
   // A dense 256x256 all-to-all net declaring bio time dwarfs the budget.
   NetBuilder dense;
@@ -754,9 +752,7 @@ TEST(NetNegative, RejectionsLeakNoSessionSlots) {
 // machine fails the *session* build — with the loader's quantified error
 // reaching status — never the server or the connection.
 TEST(NetNegative, UnplaceableNetFailsTheSessionCleanly) {
-  NetConfig cfg;
-  cfg.session.workers = 1;
-  NetServer srv(cfg);
+  NetServer srv;
   Client client(srv.port());
   NetBuilder b;
   b.poisson("src", 4, 5.0);

@@ -280,9 +280,7 @@ TEST_P(NetGrammarFuzz, GarbageLinesNeverCrashTheParser) {
 // Mutants through the real transport: every frame gets exactly one
 // response, nothing crashes the reactor, and the connection keeps serving.
 TEST(NetGrammarFuzzSocket, MutatedFramesAnswerCleanlyAndServerSurvives) {
-  NetConfig cfg;
-  cfg.session.workers = 1;
-  NetServer srv(cfg);
+  NetServer srv;
   Client client(srv.port());
   Rng rng(20260726);
   for (int round = 0; round < 60; ++round) {

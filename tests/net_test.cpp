@@ -376,7 +376,6 @@ void run_concurrent_equivalence(int depth, std::size_t reactors = 1,
                                 bool scrape = false) {
   NetConfig cfg;
   cfg.reactors = reactors;
-  cfg.session.workers = 4;
   cfg.session.max_sessions = 8;
   NetServer srv(cfg);
   ASSERT_EQ(srv.reactor_count(), reactors);
@@ -724,7 +723,6 @@ TEST(NetServer, WakeupConstructionFailureIsLoudNotSilent) {
 
   NetConfig cfg;
   cfg.reactors = 1;
-  cfg.session.workers = 0;  // no scheduler threads to complicate fd math
   try {
     NetServer srv(cfg);
     FAIL() << "NetServer constructed with no free fd for the wakeup pipe";
@@ -746,9 +744,7 @@ TEST(NetServer, WakeupConstructionFailureIsLoudNotSilent) {
 // lifecycle (the test hangs, and the ctest hard timeout fails it, if the
 // reactor blocks).
 TEST(NetServer, ParkedWaitDoesNotBlockOtherConnections) {
-  NetConfig cfg;
-  cfg.session.workers = 1;
-  NetServer srv(cfg);
+  NetServer srv;
 
   Client slow(srv.port());
   server::SessionId slow_id = server::kInvalidSession;
@@ -776,7 +772,6 @@ TEST(NetServer, ParkedWaitDoesNotBlockOtherConnections) {
 TEST(NetServer, SlowReaderIsShedNotBuffered) {
   NetConfig cfg;
   cfg.max_write_buffer = 512;  // a full drained stream cannot fit
-  cfg.session.workers = 1;
   NetServer srv(cfg);
 
   Client client(srv.port());
@@ -822,9 +817,6 @@ TEST(NetServer, PipelineFloodIsShed) {
 
 TEST(NetServer, CostBudgetIsEnforcedFromTheSocket) {
   NetConfig cfg;
-  // 0 workers: sessions stay Pending (busy), so the over-budget open can
-  // never free the budget by evicting — deterministic rejection.
-  cfg.session.workers = 0;
   // Budget fits exactly one default-spec session declaring 10 ms.
   cfg.session.cost_budget = server::admission_cost(
       [] {
@@ -839,8 +831,10 @@ TEST(NetServer, CostBudgetIsEnforcedFromTheSocket) {
   server::SessionId id = server::kInvalidSession;
   ASSERT_TRUE(parse_open_id(
       client.request("open app=noise seed=1 bio_hint_ms=10"), &id));
-  // Over budget while the first session is busy building/running: rejected.
-  ASSERT_EQ(client.request("run " + std::to_string(id) + " 10"), "ok");
+  // Over budget while the first session is busy: an outstanding long run
+  // keeps it from idling, so the over-budget open can never free the
+  // budget by evicting — deterministic rejection.
+  ASSERT_EQ(client.request("run " + std::to_string(id) + " 1000000"), "ok");
   const std::string rejected =
       client.request("open app=noise seed=2 bio_hint_ms=10");
   EXPECT_EQ(rejected.rfind("err ", 0), 0u) << rejected;
@@ -857,14 +851,15 @@ TEST(NetServer, CostBudgetIsEnforcedFromTheSocket) {
       << stats;
 }
 
-// Single-threaded serving: with reactor_drives the reactor itself runs the
-// scheduler (0 workers), so the whole server is one thread — and the
-// determinism contract must hold exactly as it does with a worker pool.
+// The reactors themselves run the scheduler, any reactor any session's
+// quanta — and the determinism contract must hold whichever thread
+// services each slice.  The default config, pinned to two reactors so
+// even a one-core host has two threads driving.
 TEST(NetServer, ReactorDrivenServingIsBitIdentical) {
   NetConfig cfg;
-  cfg.session.workers = 0;
-  cfg.reactor_drives = true;
+  cfg.reactors = 2;
   NetServer srv(cfg);
+  ASSERT_EQ(srv.reactor_count(), 2u);
 
   // Pipelined batches from two connections, mixed engines.
   const std::vector<WireSession> sessions = {
@@ -889,7 +884,8 @@ TEST(NetServer, ReactorDrivenServingIsBitIdentical) {
   }
 
   // The embedded API on a reactor-driven server works too: the work
-  // signal wakes the reactor for sessions submitted off-wire.
+  // signal wakes a reactor for sessions submitted off-wire, and wait()
+  // drives on this thread.
   {
     server::SessionSpec spec = spec_with("stdp", 33, sim::EngineKind::Serial);
     std::string error;

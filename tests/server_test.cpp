@@ -108,7 +108,6 @@ TEST(SessionServer, EightConcurrentMixedSessionsBitIdenticalToStandalone) {
   specs[2].boot = true;
 
   ServerConfig cfg;
-  cfg.workers = 4;
   cfg.max_sessions = specs.size();
   SessionServer server(cfg);
 
@@ -120,8 +119,19 @@ TEST(SessionServer, EightConcurrentMixedSessionsBitIdenticalToStandalone) {
     ASSERT_TRUE(server.run(id, kRun));
     ids.push_back(id);
   }
-  // All 8 advance concurrently; drain incrementally while they run so the
-  // comparison also covers the mid-run streaming path.
+  // Four driver threads advance all 8 concurrently, each waiting on its
+  // share of the sessions (a wait runs any queued session's slices); drain
+  // incrementally while they run so the comparison also covers the mid-run
+  // streaming path.
+  constexpr std::size_t kDrivers = 4;
+  std::vector<std::thread> drivers;
+  for (std::size_t d = 0; d < kDrivers; ++d) {
+    drivers.emplace_back([&, d] {
+      for (std::size_t i = d; i < ids.size(); i += kDrivers) {
+        EXPECT_TRUE(server.wait(ids[i]));
+      }
+    });
+  }
   std::vector<Events> streams(ids.size());
   bool any_running = true;
   while (any_running) {
@@ -130,9 +140,10 @@ TEST(SessionServer, EightConcurrentMixedSessionsBitIdenticalToStandalone) {
       append(streams[i], server.drain(ids[i]));
       if (server.status(ids[i]).bio_now < kRun) any_running = true;
     }
-    // Let the workers breathe between polls (single-core hosts).
+    // Let the drivers breathe between drains (single-core hosts).
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  for (auto& d : drivers) d.join();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     ASSERT_TRUE(server.wait(ids[i]));
     append(streams[i], server.drain(ids[i]));
@@ -157,9 +168,7 @@ TEST(SessionServer, ReusedEnginesAreBitIdentical) {
                                         4, 2);
   const SessionSpec serial = spec_with("stdp", 5, sim::EngineKind::Serial);
 
-  ServerConfig cfg;
-  cfg.workers = 1;
-  SessionServer server(cfg);
+  SessionServer server;
 
   // Warm the pool with both engine shapes — and with different specs than
   // the ones we verify, so reuse crosses scenario boundaries.
@@ -209,7 +218,6 @@ TEST(SessionServer, IncrementalRunsMatchOneShot) {
 
 TEST(SessionServer, EvictsLeastRecentlyUsedIdleSession) {
   ServerConfig cfg;
-  cfg.workers = 1;
   cfg.max_sessions = 2;
   SessionServer server(cfg);
 
@@ -240,10 +248,10 @@ TEST(SessionServer, EvictsLeastRecentlyUsedIdleSession) {
 }
 
 TEST(SessionServer, RejectsWhenEveryResidentSessionIsBusy) {
-  // 0 workers: sessions never get serviced, so both stay Pending (busy) and
-  // the third open must shed rather than evict a running session.
+  // Nothing drives the server (no wait, no poll): both sessions stay
+  // Pending (busy) and the third open must shed rather than evict a
+  // running session.
   ServerConfig cfg;
-  cfg.workers = 0;
   cfg.max_sessions = 2;
   SessionServer server(cfg);
   ASSERT_NE(server.open(SessionSpec{}), kInvalidSession);
@@ -254,11 +262,9 @@ TEST(SessionServer, RejectsWhenEveryResidentSessionIsBusy) {
   EXPECT_EQ(server.stats().rejected, 1u);
 }
 
-// Manual mode: poll() drives the scheduler deterministically.
+// poll() drives the scheduler deterministically.
 TEST(SessionServer, ManualPollServicesSessions) {
-  ServerConfig cfg;
-  cfg.workers = 0;
-  SessionServer server(cfg);
+  SessionServer server;
   const SessionId id = server.open(spec_with("chain", 4, sim::EngineKind::Serial));
   ASSERT_NE(id, kInvalidSession);
   ASSERT_TRUE(server.run(id, 10 * kMillisecond));
@@ -270,6 +276,65 @@ TEST(SessionServer, ManualPollServicesSessions) {
       run_standalone(spec_with("chain", 4, sim::EngineKind::Serial),
                      10 * kMillisecond);
   EXPECT_TRUE(same_events(server.drain(id), reference));
+}
+
+// The server owns no threads: wait() itself runs the scheduler on the
+// calling thread, so open, run and wait with no poll() completes — and
+// the stream is the standalone one.
+TEST(SessionServer, WaitDrivesTheSchedulerOnTheCallingThread) {
+  const SessionSpec spec =
+      spec_with("noise", 8, sim::EngineKind::Sharded, 4, 2);
+  SessionServer server;
+  const SessionId id = server.open(spec);
+  ASSERT_NE(id, kInvalidSession);
+  ASSERT_TRUE(server.run(id, 15 * kMillisecond));
+  ASSERT_TRUE(server.wait(id));
+  EXPECT_EQ(server.status(id).bio_now, 15 * kMillisecond);
+  EXPECT_FALSE(server.poll());  // the waiter left nothing queued
+  const Events reference = run_standalone(spec, 15 * kMillisecond);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_TRUE(same_events(server.drain(id), reference));
+}
+
+// Many waiters share the driving: four threads wait on one long session
+// while a fifth waits on another.  Each waiter runs quanta or, while
+// another thread is mid-slice on its session, sleeps until a slice ends.
+// Every thread must return, and only once its session is idle.
+TEST(SessionServer, ConcurrentWaitersAllReturnWithIdenticalStreams) {
+  constexpr TimeNs kLong = 60 * kMillisecond;
+  constexpr TimeNs kShort = 20 * kMillisecond;
+  const SessionSpec long_spec =
+      spec_with("noise", 21, sim::EngineKind::Sharded, 4, 2);
+  const SessionSpec short_spec =
+      spec_with("stdp", 22, sim::EngineKind::Serial);
+  SessionServer server;
+  const SessionId long_id = server.open(long_spec);
+  const SessionId short_id = server.open(short_spec);
+  ASSERT_NE(long_id, kInvalidSession);
+  ASSERT_NE(short_id, kInvalidSession);
+  ASSERT_TRUE(server.run(long_id, kLong));
+  ASSERT_TRUE(server.run(short_id, kShort));
+
+  std::atomic<int> returned{0};
+  std::vector<std::thread> waiters;
+  for (int t = 0; t < 5; ++t) {
+    const bool on_long = t < 4;
+    waiters.emplace_back([&, on_long] {
+      const SessionId id = on_long ? long_id : short_id;
+      EXPECT_TRUE(server.wait(id));
+      EXPECT_EQ(server.status(id).bio_now, on_long ? kLong : kShort);
+      ++returned;
+    });
+  }
+  for (auto& w : waiters) w.join();
+  EXPECT_EQ(returned.load(), 5);
+
+  const Events long_ref = run_standalone(long_spec, kLong);
+  const Events short_ref = run_standalone(short_spec, kShort);
+  ASSERT_FALSE(long_ref.empty());
+  ASSERT_FALSE(short_ref.empty());
+  EXPECT_TRUE(same_events(server.drain(long_id), long_ref));
+  EXPECT_TRUE(same_events(server.drain(short_id), short_ref));
 }
 
 // A failing load surfaces as a Failed session, not a dead server.
@@ -313,9 +378,7 @@ TEST(SessionServer, BootedSessionReportsChipsAlive) {
 // Destroying a server with live (even mid-run) sessions is clean; their
 // engines drain back through the pool.  ASan/TSan guard the teardown path.
 TEST(SessionServer, ShutdownWithLiveSessionsIsClean) {
-  ServerConfig cfg;
-  cfg.workers = 2;
-  SessionServer server(cfg);
+  SessionServer server;
   for (int i = 0; i < 4; ++i) {
     const SessionId id = server.open(
         spec_with("noise", 50 + static_cast<std::uint64_t>(i),
@@ -325,6 +388,8 @@ TEST(SessionServer, ShutdownWithLiveSessionsIsClean) {
     ASSERT_NE(id, kInvalidSession);
     ASSERT_TRUE(server.run(id, 200 * kMillisecond));  // won't finish
   }
+  // Build every session and start its run: the teardown is mid-run.
+  for (int q = 0; q < 12; ++q) ASSERT_TRUE(server.poll());
   // Destructor runs here with sessions still owing bio time.
 }
 
@@ -366,7 +431,6 @@ TEST(CostAdmission, CostSaturatesInsteadOfWrapping) {
             std::numeric_limits<std::uint64_t>::max());
 
   ServerConfig cfg;
-  cfg.workers = 0;
   cfg.cost_budget = 1u << 30;  // generous, but finite
   SessionServer server(cfg);
   std::string error;
@@ -376,7 +440,6 @@ TEST(CostAdmission, CostSaturatesInsteadOfWrapping) {
 
 TEST(CostAdmission, ZeroCostSpecsAdmitUnderAnyBudget) {
   ServerConfig cfg;
-  cfg.workers = 1;
   cfg.cost_budget = 1;  // essentially nothing
   SessionServer server(cfg);
   const SessionId id = server.open(spec_with("chain", 1, sim::EngineKind::Serial));
@@ -391,7 +454,6 @@ TEST(CostAdmission, CostExactlyAtBudgetIsAdmitted) {
   SessionSpec spec = spec_with("chain", 2, sim::EngineKind::Serial);
   spec.bio_hint = 10 * kMillisecond;
   ServerConfig cfg;
-  cfg.workers = 1;
   cfg.cost_budget = admission_cost(spec);  // exact fit
   SessionServer server(cfg);
   std::string error;
@@ -417,7 +479,6 @@ TEST(CostAdmission, EvictsCostliestIdleFirstToFreeBudget) {
   big.bio_hint = 8 * kMillisecond;
 
   ServerConfig cfg;
-  cfg.workers = 1;
   cfg.cost_budget = admission_cost(small) + admission_cost(big);
   SessionServer server(cfg);
 
@@ -449,7 +510,6 @@ TEST(CostAdmission, InfeasibleOpenEvictsNothing) {
   idle_spec.bio_hint = 2 * kMillisecond;
 
   ServerConfig cfg;
-  cfg.workers = 1;
   cfg.cost_budget = 10 * admission_cost(idle_spec);
   SessionServer server(cfg);
 
@@ -491,7 +551,6 @@ TEST(CostAdmission, EqualCostsEvictLeastRecentlyUsed) {
   spec.bio_hint = 4 * kMillisecond;
 
   ServerConfig cfg;
-  cfg.workers = 1;
   cfg.cost_budget = 2 * admission_cost(spec);
   SessionServer server(cfg);
 
@@ -529,9 +588,7 @@ TEST(CostAdmission, OpenAndRunMatchesOpenThenRun) {
 
 // notify_idle: the non-blocking wait used by the socket transport.
 TEST(CostAdmission, NotifyIdleFiresOnceWorkDrains) {
-  ServerConfig cfg;
-  cfg.workers = 0;  // drive manually so the firing point is deterministic
-  SessionServer server(cfg);
+  SessionServer server;  // poll() drives: the firing point is deterministic
   const SessionId id = server.open(spec_with("chain", 5, sim::EngineKind::Serial));
   ASSERT_NE(id, kInvalidSession);
   ASSERT_TRUE(server.run(id, 3 * kMillisecond));
@@ -600,7 +657,6 @@ TEST(EnginePoolStress, ChurnedEnginesStayBitIdentical) {
   constexpr TimeNs kRun = 8 * kMillisecond;
 
   ServerConfig cfg;
-  cfg.workers = 4;
   cfg.max_sessions = 16;
   cfg.pool.max_idle = 4;
   SessionServer server(cfg);

@@ -77,6 +77,14 @@ constexpr ChipCoord chip_of_p2p(P2pAddress a) {
 /// identifier of the neuron that fired").
 using RoutingKey = std::uint32_t;
 
+/// A spike's key is its source slice's key base plus the neuron's index in
+/// the slice: the low kNeuronKeyBits bits are the index, the bits above
+/// name the slice.  The mapper assigns the bases; a core's row store looks
+/// a spike's row up by the same split.
+inline constexpr int kNeuronKeyBits = 11;  // up to 2048 neurons per core
+inline constexpr RoutingKey kSliceKeyMask =
+    ~((RoutingKey{1} << kNeuronKeyBits) - 1);
+
 }  // namespace spinn
 
 template <>

@@ -6,8 +6,17 @@
 // A core's rows are stored compressed-sparse-row style: the row keys in
 // ascending order, an offset per row into one flat synapse array, and the
 // per-row plasticity state beside them.  The loader builds a store with one
-// stable sort of its elaboration buffer; a spike's row is then found by
-// binary search over the keys and walked as one contiguous span.
+// stable sort of its elaboration buffer; a spike's row is then walked as
+// one contiguous span.
+//
+// A spike's row is found through a master population table, as in the
+// SpiNNaker software: a key splits into its source slice (the bits above
+// kNeuronKeyBits) and the neuron's index in that slice.  The table holds
+// one entry per source slice with rows here, sorted by slice, pointing at
+// that slice's row bitmap (bit i set = neuron i has a row).  Each bitmap
+// word carries the number of rows before it, so a row's index is that
+// count plus a popcount.  Most spikes reaching a core have no row there; a
+// miss costs a probe of the small table and one bit test.
 #pragma once
 
 #include <cstddef>
@@ -114,6 +123,21 @@ class RowStore {
   }
 
  private:
+  /// One master-population-table entry: a source slice and the first word
+  /// of its row bitmap.  The slice's words end where the next entry's
+  /// begin; a sentinel entry closes the last slice.
+  struct SliceEntry {
+    RoutingKey slice = 0;
+    std::uint32_t first_word = 0;
+  };
+  /// 64 neurons' row bits, and the number of rows before them.
+  struct BitmapWord {
+    std::uint64_t bits = 0;
+    std::uint32_t rank = 0;
+  };
+
+  std::vector<SliceEntry> table_{SliceEntry{}};  // ascending + sentinel
+  std::vector<BitmapWord> words_;
   std::vector<RoutingKey> keys_;  // ascending, one per row
   /// Row r's synapses are synapses_[offsets_[r], offsets_[r + 1]).
   std::vector<std::uint32_t> offsets_{0};

@@ -1,5 +1,6 @@
 #include "noc/comms_noc.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace spinn::noc {
@@ -27,9 +28,12 @@ void CommsNoc::start_next() {
   }, sim::EventPriority::Fabric);
 }
 
-void CommsNoc::deliver(CoreIndex core, const router::Packet& p) {
-  sim_.after_as(cfg_.delivery_latency_ns, actor_, [this, core, p] {
-    if (core_sink_) core_sink_(core, p);
+void CommsNoc::deliver(router::CoreMask cores, const router::Packet& p) {
+  sim_.after_as(cfg_.delivery_latency_ns, actor_, [this, cores, p] {
+    if (!core_sink_) return;
+    for (router::CoreMask left = cores; left != 0; left &= left - 1) {
+      core_sink_(static_cast<CoreIndex>(std::countr_zero(left)), p);
+    }
   }, sim::EventPriority::Fabric);
 }
 

@@ -5,6 +5,13 @@
 // CHAIN fabric rate, and a fixed-latency delivery path (router -> core comms
 // controller).  The injection side matters: 20 cores bursting spikes in the
 // same timer tick contend for one router input.
+//
+// Delivery is one event per routing decision: the router hands over the
+// whole set of local destination cores, and one event delivery_latency_ns
+// later interrupts each of them in ascending core order.  Per-core events
+// would share (when, priority, actor) and carry consecutive sequence
+// numbers, so nothing could run between them: the merged event keeps the
+// execution order exactly.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +20,7 @@
 
 #include "common/units.hpp"
 #include "router/packet.hpp"
+#include "router/route.hpp"
 #include "sim/simulator.hpp"
 
 namespace spinn::noc {
@@ -40,8 +48,8 @@ class CommsNoc {
   /// A core injects a packet towards the router.
   void inject(const router::Packet& p);
 
-  /// The router delivers a packet to core `core`.
-  void deliver(CoreIndex core, const router::Packet& p);
+  /// The router delivers a packet to every core in `cores`.
+  void deliver(router::CoreMask cores, const router::Packet& p);
 
   std::uint64_t injected() const { return injected_; }
 

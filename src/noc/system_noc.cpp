@@ -8,7 +8,7 @@ namespace spinn::noc {
 SystemNoc::SystemNoc(sim::Simulator& sim, const SystemNocConfig& config)
     : sim_(sim), cfg_(config) {}
 
-void SystemNoc::transfer(std::uint32_t bytes, Completion done) {
+void SystemNoc::transfer(std::uint32_t bytes, Completion&& done) {
   queue_.push_back(Request{bytes, std::move(done), sim_.now()});
   if (!busy_) start_next();
 }
@@ -28,11 +28,15 @@ void SystemNoc::start_next() {
   bytes_transferred_ += req.bytes;
   ++transfers_;
 
-  sim_.after_as(service, actor_, [this, done = std::move(req.done)] {
-    if (done) done();
-    busy_ = false;
-    start_next();
-  });
+  in_service_ = std::move(req.done);
+  sim_.after_as(service, actor_, [this] { finish(); });
+}
+
+void SystemNoc::finish() {
+  Completion done = std::move(in_service_);
+  if (done) done();
+  busy_ = false;
+  start_next();
 }
 
 }  // namespace spinn::noc

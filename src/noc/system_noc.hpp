@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -26,12 +25,12 @@ struct SystemNocConfig {
 
 class SystemNoc {
  public:
-  using Completion = std::function<void()>;
+  using Completion = sim::EventAction;
 
   SystemNoc(sim::Simulator& sim, const SystemNocConfig& config);
 
   /// Queue a transfer of `bytes`; `done` fires when the last beat lands.
-  void transfer(std::uint32_t bytes, Completion done);
+  void transfer(std::uint32_t bytes, Completion&& done);
 
   /// Ordering identity of the owning chip's event tree (set by the chip).
   void set_actor(sim::ActorId actor) { actor_ = actor; }
@@ -50,11 +49,14 @@ class SystemNoc {
   };
 
   void start_next();
+  void finish();
 
   sim::Simulator& sim_;
   sim::ActorId actor_ = sim::kRootActor;
   SystemNocConfig cfg_;
   std::deque<Request> queue_;
+  /// Completion of the transfer in service (one at a time: busy_).
+  Completion in_service_;
   bool busy_ = false;
   std::uint64_t bytes_transferred_ = 0;
   std::uint64_t transfers_ = 0;

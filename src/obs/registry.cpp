@@ -18,7 +18,7 @@ std::size_t this_thread_shard() noexcept {
 
 namespace {
 
-using Snapshot = std::array<std::uint64_t, Histogram::kBins>;
+using Snapshot = Histogram::Bins;
 
 /// The one binned-percentile routine: walk a fixed snapshot to the bin
 /// holding rank p * total, then interpolate linearly inside that bin.
@@ -63,6 +63,18 @@ std::uint64_t Histogram::count() const noexcept {
 std::int64_t Histogram::percentile(double p) const noexcept {
   Snapshot snap;
   return interpolate(snap, snapshot(counts_, &snap), p);
+}
+
+Histogram::Bins Histogram::bins() const noexcept {
+  Snapshot snap;
+  snapshot(counts_, &snap);
+  return snap;
+}
+
+std::int64_t Histogram::percentile(const Bins& bins, double p) noexcept {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : bins) total += n;
+  return interpolate(bins, total, p);
 }
 
 Histogram::Summary Histogram::summary() const noexcept {

@@ -151,6 +151,13 @@ class Histogram {
   /// far, truncated to an integer; 0 when empty.
   std::int64_t percentile(double p) const noexcept;
 
+  /// A copy of the bin counts.  The difference of two copies holds just
+  /// the samples observed between them, whatever came before.
+  using Bins = std::array<std::uint64_t, kBins>;
+  Bins bins() const noexcept;
+  /// The same percentile over a bin copy (or a difference of copies).
+  static std::int64_t percentile(const Bins& bins, double p) noexcept;
+
   /// One scrape row set — count plus p50/p95/p99 — from a *single* bin
   /// snapshot, so the four answers agree about which events they saw.
   /// The snapshot lives on the stack: a scrape allocates nothing here.

@@ -9,6 +9,9 @@
 
 namespace spinn::router {
 
+/// A set of local cores: bit c is core c.
+using CoreMask = std::uint32_t;
+
 class Route {
  public:
   constexpr Route() = default;
@@ -33,6 +36,11 @@ class Route {
   }
   constexpr bool has_core(CoreIndex core) const {
     return (bits_ >> (kLinksPerChip + core)) & 1u;
+  }
+
+  /// The local-core destinations alone.
+  constexpr CoreMask cores() const {
+    return (bits_ >> kLinksPerChip) & ((CoreMask{1} << kCoresPerChip) - 1);
   }
 
   constexpr bool empty() const { return bits_ == 0; }

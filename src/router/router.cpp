@@ -1,5 +1,7 @@
 #include "router/router.hpp"
 
+#include <bit>
+
 namespace spinn::router {
 
 Router::Router(sim::Simulator& sim, ChipCoord coord,
@@ -86,12 +88,10 @@ void Router::deliver_route(const Packet& p, Route route) {
     const auto d = static_cast<LinkDir>(l);
     if (route.has_link(d)) try_output(d, p);
   }
-  for (CoreIndex c = 0; c < kCoresPerChip; ++c) {
-    if (route.has_core(c)) {
-      ++counters_.delivered_local;
-      if (local_sink_) local_sink_(c, p);
-    }
-  }
+  const CoreMask cores = route.cores();
+  if (cores == 0) return;
+  counters_.delivered_local += static_cast<std::uint64_t>(std::popcount(cores));
+  if (local_sink_) local_sink_(cores, p);
 }
 
 void Router::route_p2p(Packet p) {

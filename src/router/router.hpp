@@ -67,8 +67,9 @@ class Router {
     std::uint64_t nn_delivered = 0;
   };
 
-  /// Deliver a packet to an application core on this chip.
-  using LocalSink = std::function<void(CoreIndex, const Packet&)>;
+  /// Deliver a packet to a set of application cores on this chip (one
+  /// call per routing decision, however many cores it names).
+  using LocalSink = std::function<void(CoreMask, const Packet&)>;
   /// Deliver to whichever core is currently Monitor (p2p Local hops, nn).
   using MonitorSink = std::function<void(const Packet&)>;
   /// Raise a router diagnostic at the Monitor Processor.

@@ -99,6 +99,11 @@ class ISimulationEngine {
   virtual void reset(std::uint64_t seed) = 0;
 };
 
+/// Add `n` executed events to the process-wide `sim.events` counter.
+/// Engines call it once per run_until()/run() or parallel window, never
+/// per event.
+void record_events(std::uint64_t n);
+
 /// The reference implementation: one Simulator, one queue, zero threads.
 class SerialEngine final : public ISimulationEngine {
  public:
@@ -113,14 +118,20 @@ class SerialEngine final : public ISimulationEngine {
   }
   std::size_t num_shards() const override { return 1; }
   TimeNs now() const override { return sim_.now(); }
-  bool step() override { return sim_.queue().step(); }
+  bool step() override {
+    const bool ran = sim_.queue().step();
+    if (ran) record_events(1);
+    return ran;
+  }
   std::uint64_t run_until(TimeNs until) override {
     const std::uint64_t n = sim_.run_until(until);
+    record_events(n);
     fire_hooks(until);
     return n;
   }
   std::uint64_t run() override {
     const std::uint64_t n = sim_.run();
+    record_events(n);
     fire_hooks(sim_.now());
     return n;
   }

@@ -11,42 +11,53 @@ std::uint64_t EventQueue::next_seq(ActorId actor) {
   return seq_[actor]++;
 }
 
-void EventQueue::push(TimeNs when, EventPriority priority, ActorId key_actor,
-                      ActorId exec_actor, EventAction action) {
-  if (when < now_) {
-    throw std::logic_error("EventQueue: scheduling into the past");
+void EventQueue::push(const EventKey& key, ActorId exec_actor,
+                      EventAction&& action) {
+  if (exec_actor == kRootActor) root_whens_.insert(key.when);
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(action);
   }
-  if (exec_actor == kRootActor) root_whens_.insert(when);
-  heap_.push_back(Entry{
-      EventKey{when, priority, key_actor, next_seq(key_actor)}, exec_actor,
-      std::move(action)});
+  heap_.push_back(Item{key, slot, exec_actor});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-void EventQueue::schedule_at(TimeNs when, EventAction action,
+void EventQueue::schedule_at(TimeNs when, EventAction&& action,
                              EventPriority priority) {
-  push(when, priority, current_exec_actor_, current_exec_actor_,
-       std::move(action));
+  schedule_handoff(when, current_exec_actor_, std::move(action), priority);
 }
 
-void EventQueue::schedule_in(TimeNs delay, EventAction action,
+void EventQueue::schedule_in(TimeNs delay, EventAction&& action,
                              EventPriority priority) {
   schedule_at(now_ + delay, std::move(action), priority);
 }
 
 void EventQueue::schedule_at_as(TimeNs when, ActorId actor,
-                                EventAction action, EventPriority priority) {
-  push(when, priority, actor, actor, std::move(action));
+                                EventAction&& action, EventPriority priority) {
+  if (when < now_) {
+    throw std::logic_error("EventQueue: scheduling into the past");
+  }
+  push(EventKey{when, priority, actor, next_seq(actor)}, actor,
+       std::move(action));
 }
 
 void EventQueue::schedule_in_as(TimeNs delay, ActorId actor,
-                                EventAction action, EventPriority priority) {
+                                EventAction&& action, EventPriority priority) {
   schedule_at_as(now_ + delay, actor, std::move(action), priority);
 }
 
 void EventQueue::schedule_handoff(TimeNs when, ActorId exec_actor,
-                                  EventAction action, EventPriority priority) {
-  push(when, priority, current_exec_actor_, exec_actor, std::move(action));
+                                  EventAction&& action,
+                                  EventPriority priority) {
+  if (when < now_) {
+    throw std::logic_error("EventQueue: scheduling into the past");
+  }
+  push(make_handoff_key(when, priority), exec_actor, std::move(action));
 }
 
 EventKey EventQueue::make_handoff_key(TimeNs when, EventPriority priority) {
@@ -55,30 +66,30 @@ EventKey EventQueue::make_handoff_key(TimeNs when, EventPriority priority) {
 }
 
 void EventQueue::insert_foreign(const EventKey& key, ActorId exec_actor,
-                                EventAction action) {
+                                EventAction&& action) {
   if (key.when < now_) {
     throw std::logic_error("EventQueue: foreign event in the past");
   }
-  if (exec_actor == kRootActor) root_whens_.insert(key.when);
-  heap_.push_back(Entry{key, exec_actor, std::move(action)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  push(key, exec_actor, std::move(action));
 }
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  // pop_heap moves the earliest entry to the back; move it out from there
-  // rather than copying the action (a closure clone per event).
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry entry = std::move(heap_.back());
+  const Item item = heap_.back();
   heap_.pop_back();
-  if (entry.exec_actor == kRootActor) {
-    root_whens_.erase(root_whens_.find(entry.key.when));
+  // Move the action out and free its slot before running it: the action
+  // may schedule events, which can reuse the slot or grow slots_.
+  EventAction action = std::move(slots_[item.slot]);
+  free_slots_.push_back(item.slot);
+  if (item.exec_actor == kRootActor) {
+    root_whens_.erase(root_whens_.find(item.key.when));
   }
-  now_ = entry.key.when;
+  now_ = item.key.when;
   ++executed_;
   executing_ = true;
-  current_key_ = entry.key;
-  current_exec_actor_ = entry.exec_actor;
+  current_key_ = item.key;
+  current_exec_actor_ = item.exec_actor;
   // Reset the execution context even if the action throws (the engine's
   // fail-fast checks do), so later scheduling isn't silently mis-keyed to a
   // stale actor.
@@ -89,7 +100,7 @@ bool EventQueue::step() {
       q->current_exec_actor_ = kRootActor;
     }
   } reset{this};
-  entry.action();
+  action();
   return true;
 }
 
@@ -116,6 +127,8 @@ std::uint64_t EventQueue::run_window(TimeNs bound, bool inclusive) {
 
 void EventQueue::clear() {
   heap_.clear();
+  slots_.clear();
+  free_slots_.clear();
   root_whens_.clear();
 }
 

@@ -13,15 +13,21 @@
 // driving the queue(s), the keys — and therefore the total event order — are
 // identical whether the machine runs on the serial engine's single queue or
 // on the sharded engine's per-shard queues (see sim/sharded_simulator.hpp).
+//
+// Storage: each pending event's action (an EventAction, closure inline)
+// sits in a slot array that is reused through a free list; the binary heap
+// orders compact 32-byte (key, exec actor, slot) items, so sifting never
+// moves a closure.  step() moves the action out of its slot before calling
+// it, so an action may schedule any number of events while it runs.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <set>
 #include <vector>
 
 #include "common/units.hpp"
+#include "sim/event_action.hpp"
 
 namespace spinn::sim {
 
@@ -33,8 +39,6 @@ enum class EventPriority : std::uint8_t {
   Default = 2,
   Background = 3,  // statistics, watchdogs
 };
-
-using EventAction = std::function<void()>;
 
 /// Actor whose state an event belongs to.  0 is the root actor (host-side
 /// code, tests, the boot controller); chips are numbered from 1.
@@ -72,11 +76,11 @@ class EventQueue {
   /// Schedule `action` to run at absolute time `when` (must be >= now()).
   /// The event is keyed to — and will execute under — the currently
   /// executing actor (kRootActor when called outside event execution).
-  void schedule_at(TimeNs when, EventAction action,
+  void schedule_at(TimeNs when, EventAction&& action,
                    EventPriority priority = EventPriority::Default);
 
   /// Schedule `action` after a relative delay.
-  void schedule_in(TimeNs delay, EventAction action,
+  void schedule_in(TimeNs delay, EventAction&& action,
                    EventPriority priority = EventPriority::Default);
 
   /// Schedule an event keyed to and executing under an explicit actor.
@@ -85,9 +89,9 @@ class EventQueue {
   /// numbered by its owner rather than by whoever poked it.  The caller must
   /// have exclusive access to `actor`'s sequence counter — true for all
   /// setup/boot paths, which are single-threaded.
-  void schedule_at_as(TimeNs when, ActorId actor, EventAction action,
+  void schedule_at_as(TimeNs when, ActorId actor, EventAction&& action,
                       EventPriority priority = EventPriority::Default);
-  void schedule_in_as(TimeNs delay, ActorId actor, EventAction action,
+  void schedule_in_as(TimeNs delay, ActorId actor, EventAction&& action,
                       EventPriority priority = EventPriority::Default);
 
   /// Schedule a cross-actor handoff: the event is *keyed* to the current
@@ -95,7 +99,8 @@ class EventQueue {
   /// but *executes* under `exec_actor` (receiver side, so everything it
   /// schedules belongs to the receiver).  This is the packet-delivery
   /// primitive the sharded engine routes through mailboxes.
-  void schedule_handoff(TimeNs when, ActorId exec_actor, EventAction action,
+  void schedule_handoff(TimeNs when, ActorId exec_actor,
+                        EventAction&& action,
                         EventPriority priority = EventPriority::Default);
 
   /// Reserve the next sequence number of the currently executing actor and
@@ -107,7 +112,7 @@ class EventQueue {
   /// Insert an event carrying an externally assigned key (a drained mailbox
   /// entry).  `key.when` must be >= now().  Does not touch any counter.
   void insert_foreign(const EventKey& key, ActorId exec_actor,
-                      EventAction action);
+                      EventAction&& action);
 
   /// Run the earliest pending event.  Returns false if the queue is empty.
   bool step();
@@ -166,20 +171,21 @@ class EventQueue {
   void reset();
 
  private:
-  struct Entry {
+  /// One heap item: the ordering key, the actor the event executes under,
+  /// and the slot holding its action.
+  struct Item {
     EventKey key;
+    std::uint32_t slot = 0;
     ActorId exec_actor = kRootActor;
-    EventAction action;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Item& a, const Item& b) const {
       return b.key < a.key;
     }
   };
 
   std::uint64_t next_seq(ActorId actor);
-  void push(TimeNs when, EventPriority priority, ActorId key_actor,
-            ActorId exec_actor, EventAction action);
+  void push(const EventKey& key, ActorId exec_actor, EventAction&& action);
 
   TimeNs now_ = 0;
   std::uint64_t executed_ = 0;
@@ -195,9 +201,12 @@ class EventQueue {
   /// An actor's counter lives in its home queue: only code executing under
   /// that actor (or single-threaded setup code) may draw from it.
   std::vector<std::uint64_t> seq_;
-  /// Binary min-heap on the key (std::push_heap/pop_heap with Later), kept
-  /// as a plain vector so step() can move the earliest entry out.
-  std::vector<Entry> heap_;
+  /// Binary min-heap on the key (std::push_heap/pop_heap with Later).
+  std::vector<Item> heap_;
+  /// Actions of the pending events, indexed by Item::slot; the slot of an
+  /// event that ran goes on free_slots_ for reuse.
+  std::vector<EventAction> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace spinn::sim

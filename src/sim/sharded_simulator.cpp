@@ -132,7 +132,7 @@ std::uint64_t ShardedSimulator::executed() const {
 }
 
 void ShardedSimulator::post_handoff(Simulator& src, TimeNs delay,
-                                    ActorId exec_actor, EventAction action,
+                                    ActorId exec_actor, EventAction&& action,
                                     EventPriority priority) {
   EventQueue& q = src.queue_;
   const TimeNs when = q.now() + delay;
@@ -212,6 +212,7 @@ bool ShardedSimulator::step() {
   const int best = min_head_shard(std::numeric_limits<TimeNs>::max());
   if (best < 0) return false;
   step_shard(static_cast<std::size_t>(best));
+  record_events(1);
   return true;
 }
 
@@ -239,6 +240,7 @@ std::uint64_t ShardedSimulator::sequential_run_until(TimeNs until) {
     ++count;
   }
   for (auto& s : shards_) s.ctx->queue().run_window(until, true);
+  record_events(count);
   fire_hooks(until);
   return count;
 }
@@ -246,6 +248,7 @@ std::uint64_t ShardedSimulator::sequential_run_until(TimeNs until) {
 std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
   ensure_workers();
   std::uint64_t total = 0;
+  std::uint64_t merged_steps = 0;  // sequential-merge steps between windows
   for (;;) {
     // Root-actor events (boot-controller stragglers, host-side code, or
     // top-level scheduling on any shard context) may reach across shard
@@ -269,7 +272,7 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
         break;  // head strictly below the earliest root event: window-safe
       }
       step_shard(static_cast<std::size_t>(best));
-      ++total;
+      ++merged_steps;
     }
     TimeNs t0 = std::numeric_limits<TimeNs>::max();
     for (const auto& s : shards_) {
@@ -308,7 +311,10 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
     obs::Tracer::global().complete("engine", "engine.window", win_t0,
                                    barrier_t1 - win_t0, "bound",
                                    static_cast<std::uint64_t>(bound));
-    total += window_executed_.load(std::memory_order_relaxed);
+    const std::uint64_t executed =
+        window_executed_.load(std::memory_order_relaxed);
+    record_events(executed);
+    total += executed;
     {
       MutexLock lk(&error_mutex_);
       if (pending_error_) {
@@ -326,8 +332,9 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
                                    merge_t1 - merge_t0);
   }
   for (auto& s : shards_) s.ctx->queue().run_window(until, true);
+  record_events(merged_steps);
   fire_hooks(until);
-  return total;
+  return total + merged_steps;
 }
 
 std::uint64_t ShardedSimulator::run_until(TimeNs until) {
@@ -339,7 +346,7 @@ std::uint64_t ShardedSimulator::run_until(TimeNs until) {
 
 std::uint64_t ShardedSimulator::run() {
   std::uint64_t count = 0;
-  while (step()) ++count;
+  while (step()) ++count;  // step() records each event
   fire_hooks(now());
   return count;
 }

@@ -18,7 +18,9 @@
 // arrive before T0+W.  Under the deal almost every inter-chip hop crosses
 // shards: each shard posts its cross-shard deliveries into one outgoing
 // mail vector, which the coordinator merges into the destination queues at
-// the next window barrier.
+// the next window barrier.  A mail record carries the event's key and its
+// EventAction (closure inline, moved, never copied), so a hop allocates
+// nothing on either side of the barrier.
 //
 // Determinism: events are ordered by the shard-stable (when, priority,
 // actor, seq) key (see sim/event_queue.hpp).  Mail entries carry the key
@@ -75,7 +77,7 @@ class ShardedSimulator final : public ISimulationEngine {
   /// Simulator::handoff).  Same shard: local insert.  Different shard:
   /// direct insert when single-threaded, mailbox during parallel windows.
   void post_handoff(Simulator& src, TimeNs delay, ActorId exec_actor,
-                    EventAction action, EventPriority priority);
+                    EventAction&& action, EventPriority priority);
 
   /// Shard context executing an event on the calling thread right now
   /// (null when idle).  Observation sinks (spike recording) use this to

@@ -28,12 +28,12 @@ TEST(NetServer, HeavySliceDoesNotStarveAnotherConnection) {
   cfg.reactors = 1;
   NetServer srv(cfg);
 
-  // The sim_e12 benchmark's machine and feed-forward projection (40 Hz
-  // noise, no recurrent projection) on the sharded engine: a 1 ms slice
-  // costs well over 10 ms of wall time, and with no recurrence the load
-  // per slice is stationary once warm.
+  // The sim_e12 benchmark's machine and feed-forward projection, with the
+  // noise at 80 Hz and no recurrent projection, on the sharded engine
+  // driven by one thread: a 1 ms slice costs well over 10 ms of wall time,
+  // and with no recurrence the load per slice is stationary once warm.
   NetBuilder nb;
-  nb.poisson("noise", 6000, 40.0);
+  nb.poisson("noise", 6000, 80.0);
   nb.lif("exc", 18000);
   nb.project("noise", "exc", neural::Connector::fixed_probability(0.0045),
              neural::ValueDist::uniform(4.0, 8.0),
@@ -41,7 +41,7 @@ TEST(NetServer, HeavySliceDoesNotStarveAnotherConnection) {
   std::vector<std::string> lines = nb.lines();
   lines.push_back(
       "open app=@ seed=3 width=12 height=12 cores=4 neurons_per_core=256 "
-      "link_flight_ns=1000 engine=sharded shards=4 threads=2");
+      "link_flight_ns=1000 engine=sharded shards=4 threads=1");
   lines.push_back("wait $");  // built before the clock starts
   Client heavy(srv.port());
   const auto opened = Client::split_response(heavy.batch(lines));

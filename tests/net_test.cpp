@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "obs/registry.hpp"
 #include "sim/stats.hpp"
 #include "session_test_util.hpp"
 
@@ -537,9 +539,18 @@ TEST(NetServer, MetricsVerbReportsPinnedFieldsAndRegistryRows) {
 // Build is pure CPU on one thread, while a round trip also waits on thread
 // handoffs that stretch with the host's load (6 copies of this test on 4
 // cores put build p50 at 1/25 of the lifecycle p50), so build's floor is
-// taken from the fastest lifecycle.  ctest runs each case in its own
-// process, so the registry holds only this session's samples.
+// taken from the fastest lifecycle.  The registry is process-global and
+// earlier cases in the same process leave their own samples in it, so each
+// p50 is taken over this case's samples alone: the bin counts after its
+// lifecycles minus the bin counts before them.
 TEST(NetServer, HistogramRowsMatchClientMeasuredLatency) {
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Histogram* hists[] = {&registry.histogram("server.build_ns"),
+                                   &registry.histogram("server.ttfs_ns"),
+                                   &registry.histogram("net.request_ns")};
+  obs::Histogram::Bins before[3];
+  for (int h = 0; h < 3; ++h) before[h] = hists[h]->bins();
+
   NetServer srv;
   Client client(srv.port());
   std::vector<double> lifecycle_ns;
@@ -554,14 +565,17 @@ TEST(NetServer, HistogramRowsMatchClientMeasuredLatency) {
   }
   const double lifecycle_p50 = sim::percentile(lifecycle_ns, 0.5);
   const double lifecycle_min = sim::percentile(lifecycle_ns, 0.0);
-  const auto m = parse_metrics_response(client.request("metrics"));
-  const auto row = [&m](const char* name) {
-    EXPECT_TRUE(m.count(name) != 0) << name;
-    return m.count(name) != 0 ? static_cast<double>(m.at(name)) : 0.0;
-  };
-  const double build = row("server.build_ns.p50");
-  const double ttfs = row("server.ttfs_ns.p50");
-  const double request = row("net.request_ns.p50");
+  double own_p50[3];
+  for (int h = 0; h < 3; ++h) {
+    obs::Histogram::Bins own = hists[h]->bins();
+    for (std::size_t b = 0; b < own.size(); ++b) own[b] -= before[h][b];
+    EXPECT_GE(std::accumulate(own.begin(), own.end(), std::uint64_t{0}),
+              200u);
+    own_p50[h] = static_cast<double>(obs::Histogram::percentile(own, 0.5));
+  }
+  const double build = own_p50[0];
+  const double ttfs = own_p50[1];
+  const double request = own_p50[2];
   EXPECT_LE(build, lifecycle_p50);
   EXPECT_GE(build * 10, lifecycle_min);
   EXPECT_LE(ttfs, lifecycle_p50);

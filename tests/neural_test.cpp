@@ -3,9 +3,12 @@
 // builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "neural/input_ring.hpp"
 #include "neural/network.hpp"
 #include "neural/neuron_models.hpp"
@@ -223,6 +226,84 @@ TEST(RowStore, FindAndAccounting) {
   EXPECT_EQ(store.synapses(store.find(100)).size(), 3u);
   EXPECT_EQ(store.find(999), RowStore::npos);
   EXPECT_EQ(store.total_bytes(), (4 + 12) + (4 + 20u));
+}
+
+// The master population table against a brute-force map, over random key
+// sets: several slices with gaps between them, sparse high slice ids,
+// indices past a slice's last bitmap word, and keys off the slice layout.
+// Every key in a window around each slice must agree, and every row must
+// keep its key, span and order of appended synapses.
+TEST(RowStore, PopulationTableAgreesWithBruteForce) {
+  Rng rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<RoutingKey> bases;
+    const int slices = 1 + static_cast<int>(rng.uniform_int(6));
+    for (int i = 0; i < slices; ++i) {
+      // Mostly low dense-ish slice ids, sometimes a sparse high one.
+      const RoutingKey slice =
+          rng.chance(0.3)
+              ? static_cast<RoutingKey>(1u << 20) +
+                    static_cast<RoutingKey>(rng.uniform_int(1u << 10))
+              : static_cast<RoutingKey>(rng.uniform_int(24));
+      bases.push_back(slice << kNeuronKeyBits);
+    }
+    std::vector<RowStore::Entry> entries;
+    const auto add = [&](RoutingKey key) {
+      const auto n = 1 + rng.uniform_int(4);
+      for (std::uint64_t s = 0; s < n; ++s) {
+        Synapse syn;
+        syn.target = static_cast<std::uint16_t>(rng.uniform_int(60000));
+        entries.push_back({key, syn});
+      }
+    };
+    for (const RoutingKey base : bases) {
+      // A slice's neurons up to a random last index; sparse or dense.
+      const auto last = rng.uniform_int(1u << kNeuronKeyBits);
+      const double density = rng.chance(0.5) ? 0.05 : 0.7;
+      for (std::uint64_t i = 0; i <= last; ++i) {
+        if (rng.chance(density)) add(base + static_cast<RoutingKey>(i));
+      }
+    }
+    add(100);  // keys like the hand-written ones above
+    add(999);
+    std::shuffle(entries.begin(), entries.end(), rng);
+    // The brute-force store: each key's synapses in append order, and its
+    // row index among the ascending keys.
+    std::map<RoutingKey, std::vector<std::uint16_t>> brute;
+    for (const RowStore::Entry& e : entries) {
+      brute[e.key].push_back(e.synapse.target);
+    }
+    std::map<RoutingKey, std::size_t> row_of;
+    for (const auto& [key, targets] : brute) {
+      row_of.emplace(key, row_of.size());
+    }
+    const RowStore store(entries);
+
+    ASSERT_EQ(store.num_rows(), brute.size());
+    std::size_t row = 0;
+    for (const auto& [key, targets] : brute) {
+      ASSERT_EQ(store.key(row), key);
+      const auto span = store.synapses(row);
+      ASSERT_EQ(span.size(), targets.size()) << key;
+      for (std::size_t s = 0; s < span.size(); ++s) {
+        EXPECT_EQ(span[s].target, targets[s]) << key;
+      }
+      ++row;
+    }
+    std::vector<RoutingKey> probes{0, 1, 99, 101, 998, 1000, ~RoutingKey{0}};
+    for (const RoutingKey base : bases) {
+      const RoutingKey lo = base >= 64 ? base - 64 : 0;
+      for (RoutingKey k = lo; k < base + (2u << kNeuronKeyBits); ++k) {
+        probes.push_back(k);
+      }
+    }
+    for (const RoutingKey k : probes) {
+      const auto it = row_of.find(k);
+      const std::size_t want = it == row_of.end() ? RowStore::npos : it->second;
+      ASSERT_EQ(store.find(k), want) << "trial " << trial << " key " << k;
+    }
+  }
+  EXPECT_EQ(RowStore().find(0), RowStore::npos);
 }
 
 // ---- network builder ---------------------------------------------------------

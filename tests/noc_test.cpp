@@ -2,6 +2,7 @@
 // SDRAM port and the Communications NoC's core-to-router injection path.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "noc/comms_noc.hpp"
@@ -153,10 +154,35 @@ TEST(CommsNoc, DeliveryAddsFixedLatency) {
     delivered_at = sim.now();
   });
   router::Packet p;
-  noc.deliver(7, p);
+  noc.deliver(router::CoreMask{1} << 7, p);
   sim.run();
   EXPECT_EQ(delivered_core, 7);
   EXPECT_EQ(delivered_at, 50);
+}
+
+// One delivery reaches every core of the set from a single event, in
+// ascending core order, all at exactly +delivery_latency_ns.
+TEST(CommsNoc, CoreSetIsDeliveredInAscendingOrderByOneEvent) {
+  sim::Simulator sim(1);
+  CommsNocConfig cfg;
+  cfg.delivery_latency_ns = 50;
+  CommsNoc noc(sim, cfg);
+  std::vector<std::pair<CoreIndex, TimeNs>> delivered;
+  noc.set_core_sink([&](CoreIndex c, const router::Packet& p) {
+    EXPECT_EQ(p.key, 0x42u);
+    delivered.emplace_back(c, sim.now());
+  });
+  router::Packet p;
+  p.key = 0x42;
+  sim.after(10, [&] {
+    noc.deliver((router::CoreMask{1} << 19) | (router::CoreMask{1} << 2) |
+                    (router::CoreMask{1} << 7) | 1u,
+                p);
+  });
+  EXPECT_EQ(sim.run(), 2u);  // the caller's event and one delivery
+  const std::vector<std::pair<CoreIndex, TimeNs>> want{
+      {0, 60}, {2, 60}, {7, 60}, {19, 60}};
+  EXPECT_EQ(delivered, want);
 }
 
 TEST(CommsNoc, TwentyCoreBurstDrainsInOrder) {

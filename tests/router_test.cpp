@@ -34,7 +34,8 @@ struct Harness {
   sim::Simulator sim{1};
   Router router;
   std::vector<std::pair<LinkDir, Packet>> out;
-  std::vector<std::pair<CoreIndex, Packet>> local;
+  /// One entry per local-sink call: the core set and the packet.
+  std::vector<std::pair<CoreMask, Packet>> local;
   std::vector<Packet> monitor;
   std::vector<RouterEvent> events;
 
@@ -46,7 +47,7 @@ struct Harness {
           [this, d](const Packet& p) { out.emplace_back(d, p); });
     }
     router.set_local_sink(
-        [this](CoreIndex c, const Packet& p) { local.emplace_back(c, p); });
+        [this](CoreMask c, const Packet& p) { local.emplace_back(c, p); });
     router.set_monitor_sink([this](const Packet& p) { monitor.push_back(p); });
     router.set_monitor_notify(
         [this](const RouterEvent& e) { events.push_back(e); });
@@ -93,9 +94,25 @@ TEST(Router, MulticastFanOutToLinksAndCores) {
   h.sim.run();
   ASSERT_EQ(h.out.size(), 2u);
   EXPECT_EQ(h.local.size(), 1u);
-  EXPECT_EQ(h.local[0].first, 2);
+  EXPECT_EQ(h.local[0].first, CoreMask{1} << 2);
   EXPECT_EQ(h.router.counters().forwarded, 2u);
   EXPECT_EQ(h.router.counters().delivered_local, 1u);
+}
+
+// A route naming several local cores reaches the comms NoC as one core
+// set per routing decision; delivered_local still counts every copy.
+TEST(Router, SeveralLocalCoresAreOneDeliveryCall) {
+  Harness h;
+  h.router.mc_table().add(
+      {0x100, ~0u, Route::to_core(17).with_core(0).with_core(5)});
+  h.router.receive(mc(0x100), std::nullopt);
+  h.router.receive(mc(0x100), std::nullopt);
+  h.sim.run();
+  ASSERT_EQ(h.local.size(), 2u);
+  EXPECT_EQ(h.local[0].first,
+            (CoreMask{1} << 0) | (CoreMask{1} << 5) | (CoreMask{1} << 17));
+  EXPECT_EQ(h.local[1].first, h.local[0].first);
+  EXPECT_EQ(h.router.counters().delivered_local, 6u);
 }
 
 TEST(Router, DefaultRoutingGoesStraightThrough) {

@@ -1,8 +1,15 @@
 // Unit tests for the discrete-event kernel and the statistics containers.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <numeric>
+#include <utility>
 #include <vector>
 
+#include "obs/registry.hpp"
+#include "sim/engine.hpp"
+#include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 
@@ -70,6 +77,154 @@ TEST(EventQueue, ClearDropsPending) {
   q.clear();
   q.run();
   EXPECT_EQ(count, 0);
+}
+
+// ---- EventAction lifetimes -------------------------------------------------
+
+/// A closure owning a shared_ptr that counts its destructions while it
+/// still owns the pointer: a moved-from copy owns nothing, so a correctly
+/// moved closure counts exactly one destruction.
+template <std::size_t kPad = 0>
+struct Owner {
+  Owner(std::shared_ptr<int> t, int* d, int* r)
+      : token(std::move(t)), destroyed(d), runs(r) {}
+  Owner(Owner&&) noexcept = default;
+  Owner& operator=(Owner&&) = delete;
+  ~Owner() {
+    if (token) ++*destroyed;
+  }
+  void operator()() const { ++*runs; }
+
+  std::shared_ptr<int> token;
+  int* destroyed;
+  int* runs;
+  std::array<char, kPad> pad{};
+};
+
+struct Lifetime {
+  std::shared_ptr<int> token = std::make_shared<int>(0);
+  int destroyed = 0;
+  int runs = 0;
+  template <std::size_t kPad = 0>
+  Owner<kPad> closure() {
+    return Owner<kPad>(token, &destroyed, &runs);
+  }
+};
+
+TEST(EventAction, ClosureIsDestroyedOnceAfterRunning) {
+  EventQueue q;
+  Lifetime life;
+  q.schedule_at(5, life.closure());
+  EXPECT_EQ(life.token.use_count(), 2);
+  EXPECT_EQ(life.destroyed, 0);
+  q.run();
+  EXPECT_EQ(life.runs, 1);
+  EXPECT_EQ(life.destroyed, 1);
+  EXPECT_EQ(life.token.use_count(), 1);
+}
+
+TEST(EventAction, PendingClosuresAreDestroyedOnClearAndReset) {
+  EventQueue q;
+  Lifetime cleared;
+  for (int i = 0; i < 3; ++i) q.schedule_at(i, cleared.closure());
+  q.clear();
+  EXPECT_EQ(cleared.destroyed, 3);
+  EXPECT_EQ(cleared.token.use_count(), 1);
+
+  Lifetime reset;
+  for (int i = 0; i < 3; ++i) q.schedule_at(10 + i, reset.closure());
+  q.reset();
+  EXPECT_EQ(reset.destroyed, 3);
+  EXPECT_EQ(reset.token.use_count(), 1);
+  q.run();
+  EXPECT_EQ(cleared.runs + reset.runs, 0);
+}
+
+TEST(EventAction, PendingClosuresAreDestroyedWithTheEngine) {
+  Lifetime serial;
+  Lifetime sharded;
+  {
+    SerialEngine engine(1);
+    engine.root().at(100, serial.closure());
+    ShardedSimulator sim(1, 2, 2);
+    sim.map_actors(3);
+    sim.context_of(2).at_as(100, 2, sharded.closure());
+  }
+  EXPECT_EQ(serial.destroyed, 1);
+  EXPECT_EQ(sharded.destroyed, 1);
+  EXPECT_EQ(serial.token.use_count() + sharded.token.use_count(), 2);
+}
+
+// A closure posted across shards during a parallel window rides the
+// sender's outbox, is merged into the receiver's queue at the barrier and
+// runs there: still one destruction.
+TEST(EventAction, CrossShardMailIsDestroyedOnceAfterDraining) {
+  obs::Counter& mail = obs::Registry::global().counter("sim.mail");
+  const std::uint64_t mail_before = mail.value();
+  Lifetime life;
+  ShardedSimulator sim(1, 2, 2);
+  sim.map_actors(3);  // actor 1 -> shard 0, actor 2 -> shard 1
+  sim.constrain_lookahead(100);
+  Simulator& sender = sim.context_of(1);
+  sim.context_of(1).at_as(10, 1, [&sender, &life] {
+    sender.handoff(100, 2, life.closure());
+  });
+  sim.run_until(1000);
+  EXPECT_EQ(life.runs, 1);
+  EXPECT_EQ(life.destroyed, 1);
+  EXPECT_EQ(life.token.use_count(), 1);
+  EXPECT_GE(mail.value(), mail_before + 1) << "the handoff went by mail";
+}
+
+TEST(EventAction, OversizeClosureRunsFromTheHeap) {
+  static_assert(sizeof(Owner<256>) > EventAction::kInlineBytes);
+  EventQueue q;
+  Lifetime life;
+  q.schedule_at(1, life.closure<256>());
+  EventAction moved = life.closure<256>();
+  EventAction target = std::move(moved);
+  EXPECT_FALSE(static_cast<bool>(moved));
+  target();
+  q.run();
+  EXPECT_EQ(life.runs, 2);
+  EXPECT_EQ(life.destroyed, 1);  // the queued one; `target` is still alive
+}
+
+// An action that schedules over a thousand events while it runs grows the
+// slot array under itself; it must keep running on its own (moved-out)
+// state, and the events must run in key order.
+TEST(EventAction, ActionSchedulingThousandsOfEventsRunsCorrectly) {
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<int> payload(4, 7);
+  int payload_sum_after = 0;
+  q.schedule_at(0, [&q, &order, &payload_sum_after,
+                    payload = std::move(payload)] {
+    for (int i = 0; i < 1500; ++i) {
+      // Reverse time order, then ties broken by scheduling order.
+      q.schedule_at(2000 - i / 2, [&order, i] { order.push_back(i); });
+    }
+    payload_sum_after = std::accumulate(payload.begin(), payload.end(), 0);
+  });
+  EXPECT_EQ(q.run(), 1501u);
+  EXPECT_EQ(payload_sum_after, 28);
+  ASSERT_EQ(order.size(), 1500u);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const int pair = 749 - static_cast<int>(k / 2);
+    EXPECT_EQ(order[k], 2 * pair + static_cast<int>(k % 2)) << k;
+  }
+}
+
+TEST(EngineMetrics, SimEventsCountsExecutedEvents) {
+  obs::Counter& events = obs::Registry::global().counter("sim.events");
+  const std::uint64_t before = events.value();
+  SerialEngine engine(1);
+  for (int i = 0; i < 5; ++i) engine.root().at(i * 10, [] {});
+  EXPECT_EQ(engine.run_until(25), 3u);
+  EXPECT_EQ(events.value(), before + 3);
+  EXPECT_TRUE(engine.step());
+  EXPECT_EQ(engine.run(), 1u);
+  EXPECT_EQ(events.value(), before + 5);
 }
 
 TEST(Simulator, ConvenienceWrappers) {

@@ -5,12 +5,12 @@
 // server and asks what serving costs once requests cross a socket: batch
 // frames (one round-trip per session lifecycle), pipelining (several
 // lifecycles in flight per connection), many concurrent connections
-// multiplexed by the reactor threads, which also drive the sessions.  The
-// headline comparison is
-// single-stream embedded serving (the e13 baseline, reproduced here on
-// an identically-configured PR 3 server in this process) vs
-// batched/pipelined socket serving — the transport must at least keep up
-// with the stdio-era numbers for the "heavy traffic" story to hold
+// multiplexed by the one reactor thread, which also drives the sessions.
+// The headline comparison is single-stream embedded serving (the e13
+// baseline, reproduced here on an identically-configured PR 3 server in
+// this process) vs batched/pipelined socket serving — the transport must
+// at least keep up with the stdio-era numbers for the "heavy traffic"
+// story to hold
 // (ISSUE 4 acceptance).  Time-to-first-spike is measured as a polling
 // socket client sees it, p50/p99.
 #include <algorithm>
@@ -296,11 +296,11 @@ int main(int argc, char** argv) {
   e13_cfg.max_sessions = 16;
   server::SessionServer baseline(e13_cfg);
 
-  // The system under test: the default reactors, each driving the
-  // scheduler between epoll waits, so the socket path pays no cross-thread
-  // handoff.  The coarse slice drops per-quantum scheduling overhead;
-  // fairness across connections comes from each reactor's wall-clock
-  // drive budget rather than sub-session slicing.
+  // The system under test: the reactor drives the scheduler between epoll
+  // waits, so the socket path pays no cross-thread handoff.  The coarse
+  // slice drops per-quantum scheduling overhead; fairness across
+  // connections comes from the reactor's wall-clock drive budget rather
+  // than sub-session slicing.
   net::NetConfig cfg;
   cfg.session.slice = kBioPerSession;
   cfg.session.max_sessions = 64;  // 8 conns × depth 4 all in flight

@@ -28,7 +28,7 @@
 // System::run, which the servicing worker drives under that same lock.
 // Entry points must not block: they run inside the engine's event loop
 // (tools/lint_invariants.py enforces the same no-blocking discipline as
-// the reactor loops).
+// the reactor loop).
 #pragma once
 
 #include <cstdint>

@@ -252,7 +252,7 @@ using Row = std::pair<std::string_view, std::uint64_t>;
 /// The transport fields in their pinned, append-only order: the one table
 /// behind both the `net k=v ...` line of `netstats` and the `net.*` rows
 /// of `metrics`.
-std::array<Row, 12> net_rows(const NetStats& s) {
+std::array<Row, 11> net_rows(const NetStats& s) {
   return {{{"accepted", s.accepted},
            {"refused", s.refused},
            {"shed_slow", s.shed_slow},
@@ -263,8 +263,7 @@ std::array<Row, 12> net_rows(const NetStats& s) {
            {"faults", s.faults},
            {"bytes_in", s.bytes_in},
            {"bytes_out", s.bytes_out},
-           {"connections", s.connections},
-           {"reactors", s.reactors}}};
+           {"connections", s.connections}}};
 }
 
 void append_u64(std::string& out, std::uint64_t v) {
@@ -294,7 +293,7 @@ std::string format_netstats(const NetStats& stats) {
 /// whole response, no per-row temporaries.
 std::string format_metrics(const NetStats& net,
                            const server::ServerStats& srv) {
-  const std::array<Row, 12> net_fields = net_rows(net);
+  const std::array<Row, 11> net_fields = net_rows(net);
   const Row server_fields[] = {
       {"server.opened", srv.opened},
       {"server.rejected", srv.rejected},

@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -26,8 +25,8 @@ namespace spinn::net {
 
 namespace {
 
-/// epoll tags for the two non-connection fds.  Connection ids are dealt
-/// from 1 by NetServer::next_conn_, so the top of the 64-bit space is free.
+/// epoll tags for the two non-connection fds.  Connection ids count up
+/// from 1 (Impl::next_conn), so the top of the 64-bit space is free.
 constexpr std::uint64_t kWakeupTag = ~std::uint64_t{0};
 constexpr std::uint64_t kListenerTag = ~std::uint64_t{0} - 1;
 
@@ -42,13 +41,18 @@ constexpr int kAcceptBackoffMs = 50;
 /// sockets wait behind at most one slice plus this budget.
 constexpr std::int64_t kDriveBurstNs = 200'000;
 
+/// Set on a reactor thread for its whole loop.  A reactor only drives its
+/// own server's sessions, so a notify or a session submission made on a
+/// reactor thread is one for that reactor, which is already awake and
+/// drains its resume queue and scheduler before it sleeps.
+thread_local bool t_on_reactor = false;
+
 /// Self-pipe used to wake the reactor: another thread pokes it when a
-/// parked session idles or when it submits session work, the accepting
-/// reactor pokes it on a connection handoff, stop() pokes it to interrupt
-/// the epoll wait.  Shared (via shared_ptr) between the reactor, every
-/// registered idle callback and the work signal, so a callback firing
-/// during server teardown still writes into a live object whatever the
-/// member destruction order.
+/// parked session idles or when it submits session work, stop() pokes it
+/// to interrupt the epoll wait.  Shared (via shared_ptr) between the
+/// reactor, every registered idle callback and the work signal, so a
+/// callback firing during server teardown still writes into a live object
+/// whatever the member destruction order.
 struct Wakeup {
   int fds[2] = {-1, -1};
   /// errno from a failed pipe(); 0 when the pipe exists.  A reactor with
@@ -56,16 +60,6 @@ struct Wakeup {
   /// silently wait out the full epoll timeout and stop() lags — so
   /// construction fails loudly on it instead (Reactor ctor).
   int error = 0;
-  /// The reactor thread's id, set once its loop starts: a notify from that
-  /// thread is pointless (it is already awake) and skips the pipe write —
-  /// which removes two syscalls per session the reactor drives itself.
-  ///
-  /// Deliberately lock-free (relaxed): a stale read can only err in the
-  /// safe direction.  A thread that misses the just-stored owner id does
-  /// one redundant pipe write (the reactor drains it harmlessly); it can
-  /// never wrongly *suppress* a wakeup, because only the reactor itself
-  /// ever matches the id — and the reactor needs no wakeup.
-  std::atomic<std::thread::id> owner{};
   Wakeup() {
     if (::pipe(fds) != 0) {
       error = errno;
@@ -80,9 +74,9 @@ struct Wakeup {
     if (fds[1] >= 0) ::close(fds[1]);
   }
   void notify() const {
-    if (std::this_thread::get_id() == owner.load(std::memory_order_relaxed)) {
-      return;  // the reactor drains its resume queue before every sleep
-    }
+    // The reactor itself needs no wakeup: skipping the pipe write saves
+    // two syscalls per session it drives.
+    if (t_on_reactor) return;
     const char b = 1;
     [[maybe_unused]] const ssize_t n = ::write(fds[1], &b, 1);
   }
@@ -93,14 +87,8 @@ struct Wakeup {
   }
 };
 
-/// Set on a reactor thread for its whole loop.  A reactor only submits
-/// session work to its own server, whose queue it drains before it sleeps.
-thread_local bool t_on_reactor = false;
-
 /// Connection ids whose parked request became resumable.  Shared with the
-/// idle callbacks for the same lifetime reason as Wakeup.  Per-reactor:
-/// a callback constructed by this reactor pushes here, which is what
-/// routes a resume back to the reactor that owns the connection.
+/// idle callbacks for the same lifetime reason as Wakeup.
 struct ResumeQueue {
   Mutex mu;
   std::vector<std::uint64_t> ids SPINN_GUARDED_BY(mu);
@@ -122,11 +110,6 @@ struct Reactor::Impl {
   Epoll ep;
   std::shared_ptr<Wakeup> wakeup = std::make_shared<Wakeup>();
   std::shared_ptr<ResumeQueue> resumed = std::make_shared<ResumeQueue>();
-
-  /// Sockets dealt to this reactor by the accepting one, awaiting adoption
-  /// into the epoll set on this reactor's thread.
-  Mutex handoff_mu;
-  std::vector<Fd> handoff SPINN_GUARDED_BY(handoff_mu);
 
   struct Conn {
     Fd fd;
@@ -155,9 +138,10 @@ struct Reactor::Impl {
   };
 
   std::unordered_map<std::uint64_t, Conn> conns;
+  std::uint64_t next_conn = 1;
 
-  /// Accept backoff (accepting reactor only): after a hard accept error
-  /// the listener leaves the epoll set until the deadline passes.
+  /// Accept backoff: after a hard accept error the listener leaves the
+  /// epoll set until the deadline passes.
   bool accept_paused = false;
   std::chrono::steady_clock::time_point accept_resume{};
 
@@ -165,20 +149,19 @@ struct Reactor::Impl {
   NetStats stats SPINN_GUARDED_BY(stats_mu);
 };
 
-Reactor::Reactor(NetServer& server, std::size_t index)
-    : srv_(server), index_(index), impl_(std::make_unique<Impl>()) {
+Reactor::Reactor(NetServer& server)
+    : srv_(server), impl_(std::make_unique<Impl>()) {
   if (impl_->wakeup->error != 0) {
     throw std::runtime_error(
-        "net: reactor " + std::to_string(index_) +
-        ": cannot create wakeup pipe (" +
+        std::string("net: reactor: cannot create wakeup pipe (") +
         std::strerror(impl_->wakeup->error) +
         ") — cross-thread resumes would silently degrade to the epoll "
         "timeout");
   }
   if (!impl_->ep) {
-    throw std::runtime_error("net: reactor " + std::to_string(index_) +
-                             ": epoll_create1 failed (" +
-                             std::strerror(impl_->ep.error()) + ")");
+    throw std::runtime_error(
+        std::string("net: reactor: epoll_create1 failed (") +
+        std::strerror(impl_->ep.error()) + ")");
   }
 }
 
@@ -198,46 +181,28 @@ void Reactor::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-void Reactor::adopt(Fd client) {
-  {
-    MutexLock lk(&impl_->handoff_mu);
-    impl_->handoff.push_back(std::move(client));
-  }
-  impl_->wakeup->notify();
-}
-
-NetStats Reactor::stats_shard() const {
+NetStats Reactor::stats() const {
   MutexLock lk(&impl_->stats_mu);
   return impl_->stats;
 }
 
-std::function<void()> Reactor::work_signal(
-    const std::vector<std::unique_ptr<Reactor>>& reactors) {
-  std::vector<std::shared_ptr<Wakeup>> wakeups;
-  wakeups.reserve(reactors.size());
-  for (const auto& r : reactors) wakeups.push_back(r->impl_->wakeup);
-  return [wakeups = std::move(wakeups),
-          next = std::make_shared<std::atomic<std::size_t>>(0)] {
-    if (t_on_reactor) return;  // it drives before its next epoll wait
-    wakeups[next->fetch_add(1, std::memory_order_relaxed) % wakeups.size()]
-        ->notify();
-  };
+std::function<void()> Reactor::work_signal() const {
+  return [wakeup = impl_->wakeup] { wakeup->notify(); };
 }
 
 void Reactor::loop() {
   auto& im = *impl_;
   const NetConfig& cfg = srv_.cfg_;
   server::SessionServer& sessions = srv_.sessions_;
-  const bool accepting = index_ == 0;
-  // Telemetry handles, resolved once per reactor: registration is the cold
-  // locked path, the references are stable for the registry's life, and
-  // observing through them is lock-free (docs/OBSERVABILITY.md).
+  // Telemetry handles, resolved once: registration is the cold locked
+  // path, the references are stable for the registry's life, and observing
+  // through them is lock-free (docs/OBSERVABILITY.md).
   obs::Histogram& req_hist =
       obs::Registry::global().histogram("net.request_ns");
   obs::Tracer& tracer = obs::Tracer::global();
-  const auto bump = [&](auto member, std::uint64_t by = 1) {
+  const auto bump = [&](std::uint64_t NetStats::*member) {
     MutexLock lk(&im.stats_mu);
-    im.stats.*member += by;
+    im.stats.*member += 1;
   };
   std::vector<std::uint64_t> doomed;
 
@@ -250,8 +215,11 @@ void Reactor::loop() {
   const auto shed = [&](Impl::Conn& conn, std::uint64_t NetStats::*counter) {
     if (conn.dead) return;
     conn.dead = true;
-    if (counter != nullptr) bump(counter);
-    srv_.open_conns_.fetch_sub(1, std::memory_order_relaxed);
+    {
+      MutexLock lk(&im.stats_mu);
+      if (counter != nullptr) im.stats.*counter += 1;
+      im.stats.connections -= 1;
+    }
     doomed.push_back(conn.id);
   };
 
@@ -441,29 +409,6 @@ void Reactor::loop() {
     }
   };
 
-  // Take ownership of one connection: into the shard map and the epoll
-  // set.  Any bytes the client already sent surface at the next
-  // epoll_wait immediately (level-triggered, data already buffered).
-  const auto adopt_local = [&](Fd client) {
-    const std::uint64_t cid =
-        srv_.next_conn_.fetch_add(1, std::memory_order_relaxed);
-    const int fd = client.get();
-    auto [it, inserted] = im.conns.emplace(
-        cid, Impl::Conn(std::move(client), cid, cfg.max_frame));
-    im.ep.add(fd, EPOLLIN, cid);
-    it->second.events = EPOLLIN;
-  };
-
-  // Take ownership of connections the accepting reactor dealt to us.
-  const auto adopt_handoffs = [&] {
-    std::vector<Fd> incoming;
-    {
-      MutexLock lk(&im.handoff_mu);
-      incoming.swap(im.handoff);
-    }
-    for (Fd& client : incoming) adopt_local(std::move(client));
-  };
-
   // Accept until the queue drains.  Hard errors (fd exhaustion) count as
   // refusals and pause the listener: it stays readable while the error
   // persists, so continuing to poll it would spin at 100% CPU discovering
@@ -485,24 +430,26 @@ void Reactor::loop() {
         im.ep.del(srv_.listener_.get());
         break;
       }
-      if (srv_.open_conns_.load(std::memory_order_relaxed) >=
-          cfg.max_connections) {
-        bump(&NetStats::refused);
-        continue;  // Fd destructor closes: refusal is the message
+      bool admitted = false;
+      {
+        MutexLock lk(&im.stats_mu);
+        admitted = im.stats.connections < cfg.max_connections;
+        if (admitted) {
+          im.stats.accepted += 1;
+          im.stats.connections += 1;
+        } else {
+          im.stats.refused += 1;
+        }
       }
-      srv_.open_conns_.fetch_add(1, std::memory_order_relaxed);
-      bump(&NetStats::accepted);
-      const std::size_t target =
-          srv_.next_reactor_.fetch_add(1, std::memory_order_relaxed) %
-          srv_.reactors_.size();
-      if (target == index_) {
-        // Adopt directly, not via the handoff queue: adopt_handoffs()
-        // already ran this iteration and the self-notify is suppressed,
-        // so a queued self-deal would sleep out the full epoll timeout.
-        adopt_local(std::move(client));
-      } else {
-        srv_.reactors_[target]->adopt(std::move(client));
-      }
+      if (!admitted) continue;  // Fd destructor closes: refusal is the message
+      // Into the connection map and the epoll set.  Bytes the client
+      // already sent surface at the next epoll_wait (level-triggered).
+      const std::uint64_t cid = im.next_conn++;
+      const int fd = client.get();
+      auto [it, inserted] = im.conns.emplace(
+          cid, Impl::Conn(std::move(client), cid, cfg.max_frame));
+      im.ep.add(fd, EPOLLIN, cid);
+      it->second.events = EPOLLIN;
     }
   };
 
@@ -535,10 +482,8 @@ void Reactor::loop() {
   };
 
   t_on_reactor = true;
-  im.wakeup->owner.store(std::this_thread::get_id(),
-                         std::memory_order_relaxed);
   im.ep.add(im.wakeup->fds[0], EPOLLIN, kWakeupTag);
-  if (accepting) im.ep.add(srv_.listener_.get(), EPOLLIN, kListenerTag);
+  im.ep.add(srv_.listener_.get(), EPOLLIN, kListenerTag);
 
   constexpr int kMaxEvents = 64;
   epoll_event evs[kMaxEvents];
@@ -571,7 +516,6 @@ void Reactor::loop() {
         accept_ready = true;
       }
     }
-    adopt_handoffs();
     process_resumes();
     if (accept_ready && !im.accept_paused) accept_burst();
 
@@ -604,7 +548,7 @@ void Reactor::loop() {
     // budget is spent: answering a parked wait lets its connection pump the
     // next pipelined frame, which submits new session work — all on this
     // thread, with no pipe writes.  The wall-clock budget keeps a heavy
-    // session from starving this reactor's sockets.
+    // session from starving the sockets.
     timeout_ms = 500;
     const std::int64_t burst_end = WallClock::now_ns() + kDriveBurstNs;
     for (;;) {
@@ -626,19 +570,10 @@ void Reactor::loop() {
     sync_masks();
   }
 
-  // Loop exit: release the gauges for everything this shard still holds —
-  // live connections and any handoffs never adopted.
-  std::size_t leftover = 0;
-  for (const auto& [id, conn] : im.conns) {
-    if (!conn.dead) ++leftover;
-  }
-  {
-    MutexLock lk(&im.handoff_mu);
-    leftover += im.handoff.size();
-    im.handoff.clear();
-  }
-  srv_.open_conns_.fetch_sub(leftover, std::memory_order_relaxed);
+  // Loop exit: every connection is dropped.
   im.conns.clear();
+  MutexLock lk(&im.stats_mu);
+  im.stats.connections = 0;
 }
 
 }  // namespace spinn::net

@@ -1,25 +1,19 @@
-// Reactor: one epoll event-loop worker of the NetServer front-end.
+// Reactor: the epoll event loop of the NetServer front-end.
 //
-// Each reactor owns, privately: an epoll set, a wakeup pipe, a resume
-// queue, a handoff queue of freshly-accepted sockets, a shard of the
-// connection map, and a shard of the NetStats counters.  Nothing is shared
-// between reactors except the SessionServer they execute requests against
-// (thread-safe by design) and the NetServer's atomic connection gauges —
-// so N reactors scale the wire pipeline (frame decode, request parsing,
-// `net`-grammar compilation, response formatting) across N cores without a
-// lock on any per-connection hot path.
+// The reactor owns, privately: an epoll set holding the listener and
+// every client connection, a wakeup pipe, a resume queue, the connection
+// map and the NetStats counters.  It shares only the SessionServer it
+// executes requests against (thread-safe by design), so no lock sits on
+// any per-connection hot path; the one `stats_mu` exists for scrapes read
+// off the reactor thread.
 //
-// Each reactor also drives the session scheduler between epoll waits, for
-// a short wall-clock burst: a request's session runs on the reactor that
+// The reactor also drives the session scheduler between epoll waits, for
+// a short wall-clock burst: a request's session runs on the thread that
 // decoded it, and a socket waits behind at most one slice.
 //
-// Topology: reactor 0 owns the listener; accepted connections are dealt
-// round-robin across all reactors through adopt() (a mutex-guarded handoff
-// vector plus a wakeup-pipe poke).  A connection then lives on its owning
-// reactor for its whole life: `notify_idle` resume callbacks capture that
-// reactor's resume queue and wakeup pipe, which is the routing rule — a
-// resume always lands on the reactor that owns the parked connection
-// (docs/CONCURRENCY.md).
+// `notify_idle` resume callbacks capture the reactor's resume queue and
+// wakeup pipe, so a waiter's idle fire from any thread lands on the loop
+// that owns the parked connection (docs/CONCURRENCY.md).
 //
 // The loop itself must never block (tools/lint_invariants.py rules
 // `reactor-blocking` / `reactor-loop` scan every Reactor::*loop* body);
@@ -28,11 +22,9 @@
 // a timeout, not a sleep.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <memory>
 #include <thread>
-#include <vector>
 
 #include "net/server.hpp"
 
@@ -42,11 +34,9 @@ class Reactor {
  public:
   /// Creates the epoll set and wakeup pipe (throws std::runtime_error on
   /// failure — a silently fd-less wakeup pipe would degrade every
-  /// cross-thread resume to the poll timeout).  Does NOT spawn the thread;
-  /// the NetServer start()s every reactor only after all of them
-  /// constructed, so a failed sibling never leaks a running loop.
-  /// Reactor 0 polls `server.listener_` and deals accepted connections.
-  Reactor(NetServer& server, std::size_t index);
+  /// cross-thread resume to the poll timeout).  Does NOT spawn the thread:
+  /// the NetServer start()s it once construction succeeded.
+  explicit Reactor(NetServer& server);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -55,34 +45,27 @@ class Reactor {
   /// Spawn the loop thread.
   void start();
 
-  /// Wake the loop out of its epoll wait (stop flags, adopt handoffs).
-  /// Safe from any thread, including before start() and after join().
+  /// Wake the loop out of its epoll wait.  A no-op on the reactor thread
+  /// (it is awake); safe from any other thread, including before start()
+  /// and after join().
   void notify();
 
   /// Join the loop thread (caller must have set NetServer::stopping_ and
   /// notify()d).  Idempotent under the caller's serialisation.
   void join();
 
-  /// Hand an accepted connection to this reactor (called by the accepting
-  /// reactor's thread); the fd joins this reactor's epoll set at its next
-  /// wakeup.
-  void adopt(Fd client);
+  /// The transport counters and the live-connection gauge.
+  NetStats stats() const;
 
-  /// This reactor's counter shard (the `connections` and `reactors`
-  /// gauges are left 0: NetServer::stats() fills them in).
-  NetStats stats_shard() const;
-
-  /// The SessionServer work signal: a no-op on a reactor thread (it drives
-  /// before it sleeps); from any other thread, wakes the next reactor.
-  static std::function<void()> work_signal(
-      const std::vector<std::unique_ptr<Reactor>>& reactors);
+  /// The SessionServer work signal: notify(), in a callable that stays
+  /// valid for as long as the SessionServer may call it.
+  std::function<void()> work_signal() const;
 
  private:
   struct Impl;
   void loop();
 
   NetServer& srv_;
-  const std::size_t index_;
   std::unique_ptr<Impl> impl_;
   std::thread thread_;
 };

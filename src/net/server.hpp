@@ -1,12 +1,10 @@
 // NetServer: the socket transport in front of a SessionServer.
 //
-// `NetConfig::reactors` epoll reactor threads (net/reactor.hpp) share one
-// accept path and multiplex the client connections between them: frames
-// are decoded incrementally, each frame becomes a net::Request executed
-// against the shared (thread-safe) SessionServer, and responses queue on a
-// bounded per-connection write buffer.  A connection lives on exactly one
-// reactor for its whole life, so per-connection ordering is untouched by
-// the sharding.  The reactors also drive the session scheduler (see
+// One epoll reactor thread (net/reactor.hpp) accepts and multiplexes every
+// client connection: frames are decoded incrementally, each frame becomes
+// a net::Request executed against the (thread-safe) SessionServer, and
+// responses queue on a bounded per-connection write buffer.  The reactor
+// also drives the session scheduler between epoll waits (see
 // net/reactor.hpp).  Four properties carry the load story:
 //
 //  * **Pipelining** — a connection may send any number of request frames
@@ -15,9 +13,9 @@
 //    is shed).
 //  * **Parked waits** — a `wait` on a busy session suspends that
 //    connection's current request (later frames stay queued behind it) and
-//    resumes via SessionServer::notify_idle through the owning reactor's
-//    wakeup pipe; reactor threads never block on simulation progress, so
-//    one slow session cannot stall the other connections.
+//    resumes via SessionServer::notify_idle through the reactor's wakeup
+//    pipe; the reactor never blocks on simulation progress, so one slow
+//    session cannot stall the other connections.
 //  * **Backpressure** — a connection that stops reading while responses
 //    accumulate past `max_write_buffer` bytes is shed (closed, counted in
 //    stats) instead of growing the server's memory: slow readers lose
@@ -35,7 +33,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/thread_annotations.hpp"
 #include "net/socket.hpp"
@@ -57,12 +54,6 @@ struct NetConfig {
   /// Decoded-but-unserviced request frames per connection before a
   /// flooding writer is shed.
   std::size_t max_pipeline = 256;
-  /// Reactor (event-loop) threads.  0 = auto: min(4, hardware
-  /// concurrency).  Each reactor owns its own epoll set, wakeup pipe,
-  /// resume queue and connection shard and runs the full frame-decode →
-  /// execute → response-format pipeline; reactor 0 owns the listener and
-  /// deals accepted connections round-robin.
-  std::size_t reactors = 0;
   /// Gate for the `trace start|stop|dump` verb.  Tracing is process-wide
   /// state (obs::Tracer), so a deployment serving untrusted clients can
   /// turn the verb off wholesale; `metrics` and `netstats` are read-only
@@ -84,17 +75,15 @@ struct NetStats {
   std::uint64_t faults = 0;         // fault actions accepted onto schedules
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  /// Currently open (live, non-doomed) connections and the reactor threads
-  /// contributing to the aggregate.  Gauges, not counters: 0 in a single
-  /// reactor's shard — only NetServer::stats() fills them in.
+  /// Currently open (live, non-doomed) connections: a gauge, not a
+  /// counter.
   std::size_t connections = 0;
-  std::size_t reactors = 0;
 };
 
 class NetServer {
  public:
-  /// Binds and starts the reactor threads.  Throws std::runtime_error when
-  /// the socket cannot be bound (port in use), when a reactor's epoll set
+  /// Binds and starts the reactor thread.  Throws std::runtime_error when
+  /// the socket cannot be bound (port in use), when the reactor's epoll set
   /// or wakeup pipe cannot be created (fd exhaustion — a wakeup-less
   /// reactor would silently degrade every cross-thread resume to the poll
   /// timeout).
@@ -114,14 +103,10 @@ class NetServer {
   /// The configuration the server was built with.
   const NetConfig& config() const { return cfg_; }
 
-  /// Number of reactor threads actually running (cfg.reactors resolved).
-  std::size_t reactor_count() const { return reactors_.size(); }
-
-  /// Aggregate of every reactor's counter shard, plus the live-connection
-  /// and reactor-count gauges.
+  /// The transport counters and the live-connection gauge.
   NetStats stats() const;
 
-  /// Stop accepting, drop every connection, join the reactors.  Sessions
+  /// Stop accepting, drop every connection, join the reactor.  Sessions
   /// survive (the SessionServer tears down with the object, not the
   /// transport).  Idempotent.
   void stop();
@@ -134,20 +119,8 @@ class NetServer {
   std::uint16_t port_ = 0;
   Fd listener_;
   std::atomic<bool> stopping_{false};
-  /// Connection ids are dealt from one server-wide counter so a resume
-  /// callback's id names a connection unambiguously whichever reactor
-  /// shard it lives in.
-  std::atomic<std::uint64_t> next_conn_{1};
-  /// Live connections across all shards: the accepting reactor counts a
-  /// connection in (before dealing it), its owning reactor counts it out
-  /// at shed time — so a connection doomed mid-iteration is already gone.
-  /// The accept path checks it against cfg_.max_connections, and stats()
-  /// reports it as NetStats::connections.
-  std::atomic<std::size_t> open_conns_{0};
-  /// Round-robin dealing cursor for accepted connections.
-  std::atomic<std::size_t> next_reactor_{0};
-  Mutex stop_mu_;  // serialises the joins across concurrent stop() calls
-  std::vector<std::unique_ptr<Reactor>> reactors_;
+  Mutex stop_mu_;  // serialises the join across concurrent stop() calls
+  std::unique_ptr<Reactor> reactor_;
 };
 
 }  // namespace spinn::net

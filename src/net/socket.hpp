@@ -5,7 +5,7 @@
 // host-link front door (the paper's Ethernet-attached Host System, Fig. 1),
 // not an internet-facing daemon.  Everything above this file speaks in
 // `Fd` / `Epoll` handles and byte buffers; everything below is POSIX (plus
-// Linux epoll — the reactors target the platform CI builds on).  Windows is
+// Linux epoll — the reactor targets the platform CI builds on).  Windows is
 // not supported.
 #pragma once
 

@@ -5,7 +5,7 @@
 // kinds, all built for hot-path increments and scrape-time aggregation:
 //
 //  * Counter   — monotone u64, sharded across cache-line-padded atomic
-//                slots so concurrent reactors/workers never bounce a line;
+//                slots so concurrent writer threads never bounce a line;
 //                inc() is one relaxed fetch_add, value() sums at scrape.
 //  * Gauge     — last-write-wins i64 (queue depth, residency).
 //  * Histogram — log-linear atomic bin counts (exact 0..15, then 16

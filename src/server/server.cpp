@@ -7,7 +7,7 @@ SessionServer::SessionServer(const ServerConfig& cfg)
 
 SessionServer::~SessionServer() {
   // No slice is in flight: the server owns no threads, and whoever drove
-  // it (a transport's reactors) has stopped.  Tear sessions down,
+  // it (a transport's reactor) has stopped.  Tear sessions down,
   // returning their engines to the pool, which outlives them by member
   // order (pool_ is declared before sessions_).
   std::map<SessionId, Entry> doomed;

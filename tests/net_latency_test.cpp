@@ -19,19 +19,18 @@
 namespace spinn::net {
 namespace {
 
-// A heavy session must not starve its reactor's sockets: a drive burst
+// A heavy session must not starve the reactor's sockets: a drive burst
 // yields to epoll once its wall-clock budget is spent, so another
-// connection waits behind at most the slice in progress.  One reactor, so
-// the pinging connection shares the thread that drives the heavy session.
+// connection waits behind at most the slice in progress.  The pinging
+// connection shares the one reactor thread that drives the heavy session.
 TEST(NetServer, HeavySliceDoesNotStarveAnotherConnection) {
-  NetConfig cfg;
-  cfg.reactors = 1;
-  NetServer srv(cfg);
+  NetServer srv;
 
   // The sim_e12 benchmark's machine and feed-forward projection, with the
   // noise at 80 Hz and no recurrent projection, on the sharded engine
-  // driven by one thread: a 1 ms slice costs well over 10 ms of wall time,
-  // and with no recurrence the load per slice is stationary once warm.
+  // driven by one thread: a 1 ms slice costs many idle ping round trips of
+  // wall time, and with no recurrence the load per slice is stationary
+  // once warm.
   NetBuilder nb;
   nb.poisson("noise", 6000, 80.0);
   nb.lif("exc", 18000);
@@ -62,14 +61,28 @@ TEST(NetServer, HeavySliceDoesNotStarveAnotherConnection) {
     ASSERT_NE(heavy.request("wait " + sid), "");
     slice_ns.push_back(static_cast<double>(WallClock::now_ns() - start));
   }
-  EXPECT_GE(sim::percentile(slice_ns, 0.5), 10e6)
-      << "the net no longer makes a heavy slice";
   const double longest_slice_ns = sim::percentile(slice_ns, 1.0);
 
-  // Now one long run, every slice in one request, while another
-  // connection pings back to back.
+  // The yardstick for "heavy" is this host's own idle round trip, not a
+  // wall-clock constant: a slice must cost at least 20 idle ping p99s, or
+  // a ping behind it is not measurably delayed and the bound below shows
+  // nothing.  A faster engine or host moves both sides together.
   Client pinger(srv.port());
-  ASSERT_EQ(pinger.request("ping"), "ok");  // adopted by the reactor
+  ASSERT_EQ(pinger.request("ping"), "ok");  // accepted by the reactor
+  std::vector<double> idle_rtt_ns;
+  for (int i = 0; i < 200; ++i) {
+    const std::int64_t start = WallClock::now_ns();
+    ASSERT_EQ(pinger.request("ping"), "ok");
+    idle_rtt_ns.push_back(static_cast<double>(WallClock::now_ns() - start));
+  }
+  const double idle_p99_ns = sim::percentile(idle_rtt_ns, 0.99);
+  EXPECT_GE(sim::percentile(slice_ns, 0.5), 20.0 * idle_p99_ns)
+      << "the net no longer makes a heavy slice: median slice "
+      << sim::percentile(slice_ns, 0.5) / 1e6 << " ms, idle ping p99 "
+      << idle_p99_ns / 1e6 << " ms";
+
+  // Now one long run, every slice in one request, while the other
+  // connection pings back to back.
   std::atomic<bool> done{false};
   std::thread run_heavy([&] {
     EXPECT_EQ(heavy.batch({"run " + sid + " " + std::to_string(kSlices),

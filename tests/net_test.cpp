@@ -16,8 +16,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <numeric>
 #include <stdexcept>
@@ -152,14 +154,11 @@ TEST(NetServer, NetstatsReportsEveryCounter) {
   for (const char* field :
        {"accepted=", "refused=", "shed_slow=", "shed_flood=", "frames_in=",
         "frames_out=", "batches=", "faults=", "bytes_in=", "bytes_out=",
-        "connections=", "reactors="}) {
+        "connections="}) {
     EXPECT_NE(resp.find(field), std::string::npos) << field;
   }
-  // The aggregate names its shard count, and the asking connection is
-  // live (non-doomed) while its own netstats executes.
-  EXPECT_NE(resp.find("reactors=" + std::to_string(srv.reactor_count())),
-            std::string::npos)
-      << resp;
+  // The asking connection is live (non-doomed) while its own netstats
+  // executes.
   EXPECT_NE(resp.find("connections=1"), std::string::npos) << resp;
   // The byte counters actually move: the ping frame cost bytes both ways.
   EXPECT_EQ(resp.find("bytes_in=0 "), std::string::npos) << resp;
@@ -353,7 +352,8 @@ std::map<std::string, std::uint64_t> parse_netstats_response(
 
 /// The consistency bar a scrape must clear at any instant under load:
 /// correlated counters may never be seen torn (a frame counted without its
-/// bytes) — this is what the per-shard grouped updates guarantee.
+/// bytes) — this is what the grouped updates under one stats lock
+/// guarantee.
 void expect_consistent_counters(
     const std::map<std::string, std::uint64_t>& kv, const char* frames_in,
     const char* bytes_in, const char* frames_out, const char* bytes_out) {
@@ -367,20 +367,38 @@ void expect_consistent_counters(
   EXPECT_GE(get(bytes_out), get(frames_out) * (kFrameHeader + 2));
 }
 
+/// The transport counters of NetServer::stats(), keyed as `netstats`
+/// names them.
+std::map<std::string, std::uint64_t> netstats_map(const NetStats& s) {
+  return {{"accepted", s.accepted},   {"frames_in", s.frames_in},
+          {"frames_out", s.frames_out}, {"bytes_in", s.bytes_in},
+          {"bytes_out", s.bytes_out}};
+}
+
+/// Every key in `keys` is present in `now` and did not fall since `prev`.
+void expect_monotone(const std::map<std::string, std::uint64_t>& now,
+                     const std::map<std::string, std::uint64_t>& prev,
+                     std::initializer_list<const char*> keys) {
+  for (const char* k : keys) {
+    ASSERT_TRUE(now.count(k) != 0) << k;
+    const auto it = prev.find(k);
+    if (it != prev.end()) {
+      EXPECT_GE(now.at(k), it->second) << k << " went backwards";
+    }
+  }
+}
+
 /// The acceptance bar: >= 8 concurrent connections, mixed serial/sharded
-/// engines, every stream bit-identical to the spec run standalone —
-/// whether one reactor multiplexes all eight or four reactors own two
-/// connections each (round-robin dealing).  With `scrape`, a 9th
-/// connection polls `metrics` and `netstats` continuously throughout:
-/// observation must not perturb the streams, counters must be monotone
-/// across scrapes, and no scrape may see torn totals.
-void run_concurrent_equivalence(int depth, std::size_t reactors = 1,
-                                bool scrape = false) {
+/// engines, every stream bit-identical to the spec run standalone.  With
+/// `scrape`, a 9th connection polls `metrics` and `netstats` continuously
+/// throughout, and the same observer thread reads NetServer::stats()
+/// directly (off the reactor, across its stats lock): observation must
+/// not perturb the streams, counters must be monotone across scrapes, and
+/// no scrape may see torn totals.
+void run_concurrent_equivalence(int depth, bool scrape = false) {
   NetConfig cfg;
-  cfg.reactors = reactors;
   cfg.session.max_sessions = 8;
   NetServer srv(cfg);
-  ASSERT_EQ(srv.reactor_count(), reactors);
 
   std::atomic<bool> stop_scraping{false};
   std::thread observer;
@@ -389,35 +407,31 @@ void run_concurrent_equivalence(int depth, std::size_t reactors = 1,
       Client poll(srv.port());
       std::map<std::string, std::uint64_t> prev_m;
       std::map<std::string, std::uint64_t> prev_n;
+      std::map<std::string, std::uint64_t> prev_s;
       int scrapes = 0;
       while (!stop_scraping.load(std::memory_order_acquire)) {
         const auto m = parse_metrics_response(poll.request("metrics"));
         expect_consistent_counters(m, "net.frames_in", "net.bytes_in",
                                    "net.frames_out", "net.bytes_out");
-        for (const char* k :
-             {"net.accepted", "net.frames_in", "net.frames_out",
-              "net.bytes_in", "net.bytes_out", "server.opened",
-              "server.closed", "net.request_ns.count"}) {
-          ASSERT_TRUE(m.count(k) != 0) << k;
-          const auto it = prev_m.find(k);
-          if (it != prev_m.end()) {
-            EXPECT_GE(m.at(k), it->second) << k << " went backwards";
-          }
-        }
+        expect_monotone(m, prev_m,
+                        {"net.accepted", "net.frames_in", "net.frames_out",
+                         "net.bytes_in", "net.bytes_out", "server.opened",
+                         "server.closed", "net.request_ns.count"});
         prev_m = m;
         const auto n = parse_netstats_response(poll.request("netstats"));
         expect_consistent_counters(n, "frames_in", "bytes_in", "frames_out",
                                    "bytes_out");
-        for (const char* k :
-             {"accepted", "frames_in", "frames_out", "bytes_in",
-              "bytes_out"}) {
-          ASSERT_TRUE(n.count(k) != 0) << k;
-          const auto it = prev_n.find(k);
-          if (it != prev_n.end()) {
-            EXPECT_GE(n.at(k), it->second) << k << " went backwards";
-          }
-        }
+        expect_monotone(n, prev_n,
+                        {"accepted", "frames_in", "frames_out", "bytes_in",
+                         "bytes_out"});
         prev_n = n;
+        const auto st = netstats_map(srv.stats());
+        expect_consistent_counters(st, "frames_in", "bytes_in",
+                                   "frames_out", "bytes_out");
+        expect_monotone(st, prev_s,
+                        {"accepted", "frames_in", "frames_out", "bytes_in",
+                         "bytes_out"});
+        prev_s = st;
         ++scrapes;
       }
       EXPECT_GT(scrapes, 0);
@@ -478,21 +492,15 @@ TEST(NetServer, EightConnectionsBitIdenticalAtDepth4) {
   run_concurrent_equivalence(4);
 }
 
-// The sharded front-end holds the same bar: eight connections dealt
-// round-robin across four reactors (two each), every stream bit-identical
-// to standalone.  Determinism must come from per-session seeding, never
-// from which thread happened to execute the request.
-TEST(NetServer, EightConnectionsAcrossFourReactorsBitIdentical) {
-  run_concurrent_equivalence(/*depth=*/4, /*reactors=*/4);
-}
-
 // Observation must be free of observable effect: the same eight streams,
 // bit-identical, while a ninth connection scrapes `metrics` and `netstats`
-// as fast as the server will answer.  Run under TSan this is also the
-// data-race proof for the whole telemetry path (sharded counters, seqlock
-// trace rings, grouped stat updates) against live traffic.
+// as fast as the server will answer and its thread also reads
+// NetServer::stats() directly.  Run under TSan this is also the data-race
+// proof for the whole telemetry path (sharded counters, seqlock trace
+// rings, grouped stat updates, the stats lock taken off the reactor)
+// against live traffic.
 TEST(NetServer, EightConnectionsBitIdenticalUnderContinuousScrape) {
-  run_concurrent_equivalence(/*depth=*/4, /*reactors=*/4, /*scrape=*/true);
+  run_concurrent_equivalence(/*depth=*/4, /*scrape=*/true);
 }
 
 TEST(NetServer, MetricsVerbReportsPinnedFieldsAndRegistryRows) {
@@ -507,7 +515,7 @@ TEST(NetServer, MetricsVerbReportsPinnedFieldsAndRegistryRows) {
   for (const char* field :
        {"net.accepted", "net.refused", "net.shed_slow", "net.shed_flood",
         "net.frames_in", "net.frames_out", "net.batches", "net.faults",
-        "net.bytes_in", "net.bytes_out", "net.connections", "net.reactors",
+        "net.bytes_in", "net.bytes_out", "net.connections",
         "server.opened", "server.rejected", "server.rejected_cost",
         "server.closed", "server.evicted", "server.resident",
         "server.cost_resident", "server.cost_budget", "server.queue_depth",
@@ -522,7 +530,6 @@ TEST(NetServer, MetricsVerbReportsPinnedFieldsAndRegistryRows) {
   EXPECT_TRUE(m.count("net.request_ns.p50") != 0);
   EXPECT_TRUE(m.count("net.request_ns.p99") != 0);
   EXPECT_EQ(m.at("net.accepted"), 1u);
-  EXPECT_EQ(m.at("net.reactors"), srv.reactor_count());
   // A second scrape never goes backwards.
   const auto m2 = parse_metrics_response(client.request("metrics"));
   EXPECT_GE(m2.at("net.frames_in"), m.at("net.frames_in"));
@@ -647,7 +654,7 @@ TEST(NetServer, TransportVerbsTolerateWhitespaceAndRefuseBatching) {
   EXPECT_EQ(netstats.rfind("net accepted=1 ", 0), 0u) << netstats;
   EXPECT_EQ(keys_of(parse_netstats_response(padded_netstats)),
             keys_of(parse_netstats_response(netstats)));
-  EXPECT_NE(padded_netstats.find(" connections=1 "), std::string::npos)
+  EXPECT_TRUE(padded_netstats.ends_with(" connections=1"))
       << padded_netstats;
 
   EXPECT_EQ(client.request(" trace start"), client.request("trace start"));
@@ -736,7 +743,6 @@ TEST(NetServer, WakeupConstructionFailureIsLoudNotSilent) {
   }
 
   NetConfig cfg;
-  cfg.reactors = 1;
   try {
     NetServer srv(cfg);
     FAIL() << "NetServer constructed with no free fd for the wakeup pipe";
@@ -865,15 +871,12 @@ TEST(NetServer, CostBudgetIsEnforcedFromTheSocket) {
       << stats;
 }
 
-// The reactors themselves run the scheduler, any reactor any session's
-// quanta — and the determinism contract must hold whichever thread
-// services each slice.  The default config, pinned to two reactors so
-// even a one-core host has two threads driving.
+// The reactor runs the scheduler, and so does an embedding thread in
+// wait() — the determinism contract must hold whichever thread services
+// each slice.  The embedded open/run/wait runs while the two wire
+// connections are served, so two threads drive slices at once.
 TEST(NetServer, ReactorDrivenServingIsBitIdentical) {
-  NetConfig cfg;
-  cfg.reactors = 2;
-  NetServer srv(cfg);
-  ASSERT_EQ(srv.reactor_count(), 2u);
+  NetServer srv;
 
   // Pipelined batches from two connections, mixed engines.
   const std::vector<WireSession> sessions = {
@@ -888,18 +891,10 @@ TEST(NetServer, ReactorDrivenServingIsBitIdentical) {
       streams[i] = drive_over_socket(srv.port(), sessions[i], 4);
     });
   }
-  for (auto& t : clients) t.join();
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    SCOPED_TRACE("connection " + std::to_string(i));
-    const Events reference =
-        server::run_standalone(sessions[i].spec, sessions[i].run);
-    ASSERT_FALSE(reference.empty());
-    EXPECT_TRUE(same_events(streams[i], reference));
-  }
 
-  // The embedded API on a reactor-driven server works too: the work
-  // signal wakes a reactor for sessions submitted off-wire, and wait()
-  // drives on this thread.
+  // The embedded API on a reactor-driven server works too, concurrently:
+  // the work signal wakes the reactor for sessions submitted off-wire,
+  // and wait() drives on this thread.
   {
     server::SessionSpec spec = spec_with("stdp", 33, sim::EngineKind::Serial);
     std::string error;
@@ -913,6 +908,41 @@ TEST(NetServer, ReactorDrivenServingIsBitIdentical) {
     EXPECT_TRUE(same_events(via_api, reference));
     EXPECT_TRUE(srv.sessions().close(id));
   }
+
+  for (auto& t : clients) t.join();
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    SCOPED_TRACE("connection " + std::to_string(i));
+    const Events reference =
+        server::run_standalone(sessions[i].spec, sessions[i].run);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_TRUE(same_events(streams[i], reference));
+  }
+}
+
+// A session submitted through the embedded API, by a thread that never
+// calls wait() or poll(), is driven by the reactor alone: the submission
+// fires the work signal, which is the reactor's wakeup, and no slice ever
+// runs on the test thread.  busy() only reads; it drives nothing.
+TEST(NetServer, EmbeddedSubmissionIsDrivenByTheReactor) {
+  NetServer srv;
+  const server::SessionSpec spec =
+      spec_with("noise", 34, sim::EngineKind::Serial);
+  std::string error;
+  const server::SessionId id = srv.sessions().open(spec, &error);
+  ASSERT_NE(id, server::kInvalidSession) << error;
+  ASSERT_TRUE(srv.sessions().run(id, 20 * kMillisecond));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (srv.sessions().busy(id)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the reactor never drove the embedded submission";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const Events via_api = srv.sessions().drain(id);
+  const Events reference = server::run_standalone(spec, 20 * kMillisecond);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_TRUE(same_events(via_api, reference));
+  EXPECT_TRUE(srv.sessions().close(id));
 }
 
 // The transport and the embedded API are the same server: a session opened
